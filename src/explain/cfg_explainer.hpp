@@ -17,7 +17,7 @@ class CfgExplainer : public Explainer {
  public:
   // `gnn` is borrowed and must outlive the explainer.
   CfgExplainer(const GnnClassifier& gnn, ExplainerTrainConfig train_config = {},
-               InterpretationConfig interpret_config = {.keep_adjacency_snapshots = false},
+               InterpretationConfig interpret_config = {},
                std::uint64_t init_seed = 99);
 
   std::string name() const override { return "CFGExplainer"; }

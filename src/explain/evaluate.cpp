@@ -111,8 +111,7 @@ ExplainerEvaluation evaluate_explainer(
     if (tally.correct.empty()) tally.correct.assign(grid, 0);
     ++tally.samples;
 
-    // masked_subgraph + the sparse predict() path is bit-identical to
-    // keep_only + predict_masked (ops.hpp) without ever densifying —
+    // masked_subgraph + the sparse predict() path never densifies —
     // essential once graphs reach the paper's 7352 nodes.
     for (std::size_t g = 0; g < grid; ++g) {
       const auto kept = ranking.top_fraction(fractions[g]);

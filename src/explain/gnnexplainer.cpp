@@ -38,8 +38,7 @@ NodeRanking GnnExplainer::explain(const Acfg& graph) {
   const Matrix& base_features = graph.features();
 
   // The class the mask must preserve: the GNN's own full-graph prediction.
-  const std::size_t target_class =
-      gnn_.predict_masked(base_adjacency, base_features).predicted_class;
+  const std::size_t target_class = gnn_.predict(graph).predicted_class;
 
   if (num_edges == 0) {
     // Nothing to mask; fall back to index order.

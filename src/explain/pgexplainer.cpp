@@ -61,7 +61,7 @@ void PgExplainer::fit(const Corpus& corpus,
     if (graph.num_edges() == 0) continue;
     Prepared p;
     p.adjacency = graph.dense_adjacency();
-    const Matrix z = gnn_.embed(p.adjacency, graph.features());
+    const Matrix z = gnn_.embed(graph);
     p.edge_in = edge_inputs(graph, z);
     p.graph = &graph;
     p.target = argmax_rows(gnn_.class_logits(z))[0];
@@ -135,7 +135,7 @@ void PgExplainer::load_file(const std::string& path) {
 }
 
 std::vector<double> PgExplainer::edge_scores(const Acfg& graph) {
-  const Matrix z = gnn_.embed(graph.dense_adjacency(), graph.features());
+  const Matrix z = gnn_.embed(graph);
   if (graph.num_edges() == 0) return {};
   const Matrix omega = predictor_.forward(edge_inputs(graph, z));
   std::vector<double> scores(graph.num_edges());

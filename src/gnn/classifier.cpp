@@ -121,27 +121,26 @@ Matrix GnnClassifier::pool(const Matrix& embeddings,
   return pooled;
 }
 
-Matrix GnnClassifier::embed(const Matrix& adjacency,
-                            const Matrix& raw_features) const {
-  if (adjacency.rows() != raw_features.rows()) {
-    throw std::invalid_argument("GnnClassifier::embed: node count mismatch");
-  }
+Matrix GnnClassifier::embed(const Acfg& graph) const {
   // Activity (self-loop policy) is judged on the RAW features: a pruned or
-  // padded node has an all-zero raw row; scaling happens afterwards.
-  // The normalized adjacency is converted to CSR once and reused by every
-  // layer: CFG adjacencies are >95% zeros and spmm reproduces the dense
-  // matmul exactly (same per-row accumulation order).
-  std::vector<double> inv_sqrt;
-  const CsrMatrix a_hat =
-      normalized_adjacency_csr(adjacency, inv_sqrt, &raw_features);
+  // padded node has an all-zero raw row; scaling happens afterwards. The
+  // edge-list normalization is bit-identical to the dense
+  // normalized_adjacency_csr(dense_adjacency(), features()) (see ops.hpp),
+  // and its CSR is reused by every layer.
+  const MaskedNormalizedAdjacency frozen(graph);
   Matrix out;
-  embed_into(a_hat, inv_sqrt, raw_features, out);
+  embed_into(frozen.a_hat(), frozen.inv_sqrt_degree(), graph.features(), out);
   return out;
 }
 
 void GnnClassifier::embed_into(const CsrMatrix& a_hat,
                                const std::vector<double>& inv_sqrt,
                                const Matrix& raw_features, Matrix& out) const {
+  if (a_hat.rows() != raw_features.rows() ||
+      inv_sqrt.size() != raw_features.rows()) {
+    throw std::invalid_argument(
+        "GnnClassifier::embed_into: node count mismatch");
+  }
   Workspace& workspace = Workspace::local();
   Workspace::Lease ping = workspace.acquire(0, 0);
   Workspace::Lease pong = workspace.acquire(0, 0);
@@ -187,9 +186,7 @@ Matrix GnnClassifier::class_logits(const Matrix& embeddings,
   // Cache-free dense readout.
   const Matrix pooled =
       readout_input(embeddings, active_count, nullptr, nullptr);
-  Matrix logits = precision_ == Precision::Bf16
-                      ? matmul_bf16(pooled, readout_w16_)
-                      : matmul(pooled, readout_->weight().value);
+  Matrix logits = matmul(pooled, readout_->weight().value);
   for (std::size_t c = 0; c < logits.cols(); ++c) {
     logits(0, c) += readout_->bias().value(0, c);
   }
@@ -197,31 +194,9 @@ Matrix GnnClassifier::class_logits(const Matrix& embeddings,
 }
 
 Prediction GnnClassifier::predict(const Acfg& graph) const {
-  // Sparse path: MaskedNormalizedAdjacency(graph) is bit-identical to the
-  // dense normalized_adjacency_csr(dense_adjacency(), features()) pipeline
-  // (see ops.hpp), and the non-zero inv_sqrt count IS the active-node count
-  // under the self-loop policy — so this matches predict_masked(
-  // dense_adjacency(), features()) exactly at O(E log E) instead of O(N^2).
-  const MaskedNormalizedAdjacency frozen(graph);
-  Matrix embeddings;
-  embed_into(frozen.a_hat(), frozen.inv_sqrt_degree(), graph.features(),
-             embeddings);
-  std::size_t active = 0;
-  for (double v : frozen.inv_sqrt_degree()) {
-    if (v != 0.0) ++active;
-  }
-  Prediction prediction;
-  prediction.probabilities = softmax_rows(class_logits(embeddings, active));
-  prediction.predicted_class = argmax_rows(prediction.probabilities)[0];
-  return prediction;
-}
-
-Prediction GnnClassifier::predict_masked(const Matrix& adjacency,
-                                         const Matrix& raw_features) const {
   Prediction prediction;
   prediction.probabilities = softmax_rows(
-      class_logits(embed(adjacency, raw_features),
-                   count_active_nodes(adjacency, raw_features)));
+      class_logits(embed(graph), count_active_nodes(graph)));
   prediction.predicted_class = argmax_rows(prediction.probabilities)[0];
   return prediction;
 }
@@ -310,14 +285,6 @@ GnnClassifier::BackwardResult GnnClassifier::backward_cached(
   return result;
 }
 
-void GnnClassifier::set_precision(Precision precision) {
-  for (GcnLayer& layer : gcn_layers_) layer.set_precision(precision);
-  readout_w16_ = precision == Precision::Bf16
-                     ? Matrix16::pack(readout_->weight().value)
-                     : Matrix16();
-  precision_ = precision;
-}
-
 std::vector<Parameter*> GnnClassifier::parameters() {
   std::vector<Parameter*> params;
   for (GcnLayer& layer : gcn_layers_) {
@@ -379,11 +346,7 @@ GnnClassifier GnnClassifier::load(std::istream& in) {
 GnnClassifier GnnClassifier::clone() const {
   std::stringstream buffer;
   save(buffer);
-  GnnClassifier copy = load(buffer);
-  // Checkpoints carry only the fp64 master weights; re-derive the packed
-  // bf16 view so the copy serves at the same precision.
-  if (precision_ != Precision::Fp64) copy.set_precision(precision_);
-  return copy;
+  return load(buffer);
 }
 
 void GnnClassifier::save_file(const std::string& path) const {

@@ -11,10 +11,10 @@
 // prediction through information loss, not through dilution toward the
 // bias prior (DESIGN.md decision 2).
 //
-// Thread-safety: the const inference methods (embed, class_logits, predict,
-// predict_masked) do not mutate state and may run concurrently. The cached
-// training path (forward_cached/backward_cached) is single-threaded; use
-// clone() to hand each worker its own instance when explainers need
+// Thread-safety: the const inference methods (embed, embed_into,
+// class_logits, predict) do not mutate state and may run concurrently. The
+// cached training path (forward_cached/backward_cached) is single-threaded;
+// use clone() to hand each worker its own instance when explainers need
 // gradients in parallel.
 #pragma once
 
@@ -73,29 +73,22 @@ class GnnClassifier {
   void set_scaler(FeatureScaler scaler) { scaler_ = std::move(scaler); }
   const FeatureScaler& scaler() const noexcept { return scaler_; }
 
-  // Inference precision (DESIGN.md decision 14). Bf16 packs bf16 copies of
-  // the GCN and readout weights and routes every inference-path feature
-  // transform through the fp32-accumulating bf16 kernels; Fp64 restores the
-  // reference path. Training (forward_cached/backward_cached) and
-  // checkpoints always use the fp64 master weights; re-apply after updating
-  // weights. clone() preserves the setting.
-  void set_precision(Precision precision);
-  Precision precision() const noexcept { return precision_; }
-
   // --- inference (const) ---
 
-  // Node embeddings Z from a dense weighted adjacency + RAW features.
-  // Applies the scaler when fitted, normalizes the adjacency internally.
-  // Rows of inactive (pruned/padded) nodes are zeroed so they contribute
-  // nothing downstream.
-  Matrix embed(const Matrix& adjacency, const Matrix& raw_features) const;
+  // Node embeddings Z of a graph: normalizes its edge list straight into a
+  // CSR (MaskedNormalizedAdjacency, no N x N densification) and applies the
+  // scaler to the RAW features when fitted. Rows of inactive (pruned or
+  // padded) nodes are zeroed so they contribute nothing downstream. Embed a
+  // masked subgraph via embed(masked_subgraph(graph, kept)).
+  Matrix embed(const Acfg& graph) const;
 
   // Destination-passing embed for callers that already hold the normalized
   // CSR adjacency and its d^{-1/2} vector (the incremental Algorithm-2
   // masking path rebuilds neither per iteration). Intermediates ping-pong
   // through Workspace scratch, so steady-state calls allocate nothing.
-  // `out` must not alias `raw_features`. Bit-identical to embed() given the
-  // same A_hat / inv_sqrt.
+  // `out` must not alias `raw_features`; a node-count mismatch between
+  // a_hat, inv_sqrt and raw_features throws std::invalid_argument. embed()
+  // is this call on the graph's freshly normalized adjacency.
   void embed_into(const CsrMatrix& a_hat, const std::vector<double>& inv_sqrt,
                   const Matrix& raw_features, Matrix& out) const;
 
@@ -106,11 +99,10 @@ class GnnClassifier {
   Matrix class_logits(const Matrix& embeddings,
                       std::size_t active_count = 0) const;
 
+  // Class probabilities of a graph: class_logits(embed(graph)) over
+  // count_active_nodes(graph). Predict a masked subgraph via
+  // predict(masked_subgraph(graph, kept)).
   Prediction predict(const Acfg& graph) const;
-
-  // Prediction for a masked variant of a graph (explainer evaluation).
-  Prediction predict_masked(const Matrix& adjacency,
-                            const Matrix& raw_features) const;
 
   // --- cached training / gradient path ---
 
@@ -162,8 +154,6 @@ class GnnClassifier {
   FeatureScaler scaler_;
   std::vector<GcnLayer> gcn_layers_;
   std::unique_ptr<Dense> readout_;
-  Precision precision_ = Precision::Fp64;
-  Matrix16 readout_w16_;  // packed readout weights when Bf16
 
   ThreadPool* kernel_pool_ = nullptr;
 

@@ -37,16 +37,9 @@ GcnLayer::GcnLayer(std::size_t in_features, std::size_t out_features, Rng& rng,
     : weight_(name + ".W", glorot_uniform(in_features, out_features, rng)),
       bias_(name + ".b", Matrix(1, out_features)) {}
 
-void GcnLayer::set_precision(Precision precision) {
-  weight_bf16_ =
-      precision == Precision::Bf16 ? Matrix16::pack(weight_.value) : Matrix16();
-  precision_ = precision;
-}
-
 Matrix GcnLayer::infer(const Matrix& a_hat, const Matrix& h) const {
-  Matrix hw = precision_ == Precision::Bf16 ? matmul_bf16(h, weight_bf16_)
-                                            : matmul(h, weight_.value);
-  return relu(add_bias_rows(matmul(a_hat, hw), bias_.value));
+  return relu(add_bias_rows(matmul(a_hat, matmul(h, weight_.value)),
+                            bias_.value));
 }
 
 Matrix GcnLayer::infer(const CsrMatrix& a_hat, const Matrix& h,
@@ -59,11 +52,7 @@ Matrix GcnLayer::infer(const CsrMatrix& a_hat, const Matrix& h,
 void GcnLayer::infer_into(const CsrMatrix& a_hat, const Matrix& h, Matrix& out,
                           ThreadPool* pool, const double* row_live) const {
   Workspace::Lease hw = Workspace::local().acquire(h.rows(), out_features());
-  if (precision_ == Precision::Bf16) {
-    matmul_bf16_live_rows_into(h, weight_bf16_, hw.get(), row_live);
-  } else {
-    matmul_live_rows_into(h, weight_.value, hw.get(), row_live);
-  }
+  matmul_live_rows_into(h, weight_.value, hw.get(), row_live);
   spmm_live_rows_into(a_hat, hw.get(), out, row_live, pool);
   if (row_live == nullptr) {
     add_bias_rows_inplace(out, bias_.value);

@@ -23,7 +23,6 @@
 
 #include "nn/layers.hpp"
 #include "nn/matrix.hpp"
-#include "nn/matrix16.hpp"
 #include "nn/sparse.hpp"
 
 namespace cfgx {
@@ -37,14 +36,6 @@ class GcnLayer {
 
   std::size_t in_features() const { return weight_.value.rows(); }
   std::size_t out_features() const { return weight_.value.cols(); }
-
-  // Inference precision for the H*W product. Bf16 packs a bf16 copy of the
-  // CURRENT weights (re-call after any weight update); Fp64 drops it. The
-  // fp64 master weights, the training path (forward/backward) and the
-  // A_hat aggregation are unaffected — only the feature transform runs
-  // reduced-precision (it dominates the multiply count).
-  void set_precision(Precision precision);
-  Precision precision() const noexcept { return precision_; }
 
   // Cache-free inference (dense reference / CSR fast path).
   Matrix infer(const Matrix& a_hat, const Matrix& h) const;
@@ -86,8 +77,6 @@ class GcnLayer {
  private:
   Parameter weight_;
   Parameter bias_;
-  Precision precision_ = Precision::Fp64;
-  Matrix16 weight_bf16_;  // packed copy of weight_.value when Bf16
   // Caches for backward. Exactly one of cached_a_hat_ / cached_a_csr_ is
   // populated, per the overload forward() was called with.
   Matrix cached_a_hat_;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 
 namespace cfgx {
 
@@ -430,98 +429,6 @@ Acfg masked_subgraph(const Acfg& graph,
   out.set_family(graph.family());
   for (std::uint32_t node : graph.planted_nodes()) {
     if (keep[node]) out.mark_planted(node);
-  }
-  return out;
-}
-
-GraphBatch batch_normalized_graphs(const std::vector<const Acfg*>& graphs) {
-  GraphBatch batch;
-  if (graphs.empty()) return batch;
-
-  std::size_t feature_count = 0;
-  std::size_t total_nodes = 0;
-  for (std::size_t k = 0; k < graphs.size(); ++k) {
-    if (graphs[k] == nullptr) {
-      throw std::invalid_argument(
-          "batch_normalized_graphs: null graph at index " + std::to_string(k));
-    }
-    if (k == 0) {
-      feature_count = graphs[k]->feature_count();
-    } else if (graphs[k]->feature_count() != feature_count) {
-      throw std::invalid_argument(
-          "batch_normalized_graphs: feature_count mismatch (" +
-          std::to_string(graphs[k]->feature_count()) + " vs " +
-          std::to_string(feature_count) + " at index " + std::to_string(k) +
-          ")");
-    }
-    total_nodes += graphs[k]->num_nodes();
-  }
-
-  std::vector<CsrMatrix> per_graph;
-  per_graph.reserve(graphs.size());
-  batch.features = Matrix(total_nodes, feature_count);
-  batch.inv_sqrt_degree.reserve(total_nodes);
-  batch.active_counts.reserve(graphs.size());
-
-  std::size_t row_base = 0;
-  for (const Acfg* graph : graphs) {
-    const Matrix adjacency = graph->dense_adjacency();
-    std::vector<double> inv_sqrt;
-    per_graph.push_back(
-        normalized_adjacency_csr(adjacency, inv_sqrt, &graph->features()));
-
-    // inv_sqrt is non-zero exactly for active nodes, so its non-zero count
-    // IS count_active_nodes(adjacency, features).
-    std::size_t active = 0;
-    for (double v : inv_sqrt) {
-      if (v != 0.0) ++active;
-    }
-    batch.active_counts.push_back(active);
-    batch.inv_sqrt_degree.insert(batch.inv_sqrt_degree.end(),
-                                 inv_sqrt.begin(), inv_sqrt.end());
-
-    const Matrix& feats = graph->features();
-    for (std::size_t r = 0; r < feats.rows(); ++r) {
-      for (std::size_t c = 0; c < feature_count; ++c) {
-        batch.features(row_base + r, c) = feats(r, c);
-      }
-    }
-    row_base += graph->num_nodes();
-  }
-
-  std::vector<const CsrMatrix*> ptrs;
-  ptrs.reserve(per_graph.size());
-  for (const CsrMatrix& csr : per_graph) ptrs.push_back(&csr);
-  batch.a_hat = BatchedCsr::concat(ptrs);
-  return batch;
-}
-
-void mask_node(Matrix& adjacency, Matrix& features, std::uint32_t node) {
-  if (node >= adjacency.rows() || adjacency.rows() != adjacency.cols()) {
-    throw std::out_of_range("mask_node: node out of range");
-  }
-  if (features.rows() != adjacency.rows()) {
-    throw std::invalid_argument("mask_node: feature/adjacency row mismatch");
-  }
-  for (std::size_t j = 0; j < adjacency.cols(); ++j) {
-    adjacency(node, j) = 0.0;  // outgoing (Algorithm 2 line 17)
-    adjacency(j, node) = 0.0;  // incoming (Algorithm 2 line 18)
-  }
-  for (std::size_t c = 0; c < features.cols(); ++c) features(node, c) = 0.0;
-}
-
-MaskedGraph keep_only(const Matrix& adjacency, const Matrix& features,
-                      const std::vector<std::uint32_t>& kept) {
-  MaskedGraph out{adjacency, features};
-  std::vector<char> keep(adjacency.rows(), 0);
-  for (std::uint32_t node : kept) {
-    if (node >= adjacency.rows()) {
-      throw std::out_of_range("keep_only: node out of range");
-    }
-    keep[node] = 1;
-  }
-  for (std::uint32_t node = 0; node < adjacency.rows(); ++node) {
-    if (!keep[node]) mask_node(out.adjacency, out.features, node);
   }
   return out;
 }

@@ -132,50 +132,12 @@ std::size_t count_active_nodes(const Matrix& adjacency, const Matrix& features);
 // Edge-list form of the same count (O(N + E), no densification).
 std::size_t count_active_nodes(const Acfg& graph);
 
-// Batched normalized inputs for K graphs, ready for one shared forward
-// pass: the per-graph normalized adjacencies concatenated block-diagonally
-// (BatchedCsr), the RAW feature rows stacked in the same row order, the
-// d^{-1/2} factors concatenated, and the per-graph active-node counts for
-// the readout. embed_into over (a_hat.matrix(), inv_sqrt_degree, features)
-// computes all K graphs' embeddings at once, bit-identically to K separate
-// calls (see the bit-identity argument on BatchedCsr); slicing row range
-// a_hat.range(k) out of the result recovers graph k's embeddings exactly.
-struct GraphBatch {
-  BatchedCsr a_hat;
-  Matrix features;                         // (sum N_k) x feature_count, raw
-  std::vector<double> inv_sqrt_degree;     // size sum N_k; 0 for inactive
-  std::vector<std::size_t> active_counts;  // per graph, for class_logits
-
-  std::size_t num_graphs() const noexcept { return a_hat.num_blocks(); }
-  const BatchedCsr::Range& range(std::size_t k) const { return a_hat.range(k); }
-};
-
-// Builds a GraphBatch from K graphs (normalizes each adjacency with the
-// feature-aware self-loop policy). Graphs must share a feature_count;
-// throws std::invalid_argument on a mismatch or a null pointer. K = 0
-// yields an empty batch.
-GraphBatch batch_normalized_graphs(const std::vector<const Acfg*>& graphs);
-
-// Zeroes row + column `node` of the adjacency and the node's feature row
-// (Algorithm 2 lines 17-18, plus the feature zeroing of DESIGN decision 3).
-void mask_node(Matrix& adjacency, Matrix& features, std::uint32_t node);
-
-// Returns a copy of (A, X) with every node NOT in `kept` masked out.
-// Shapes are preserved (masked, not compacted), matching the paper's fixed
-// input-size evaluation of subgraphs.
-struct MaskedGraph {
-  Matrix adjacency;
-  Matrix features;
-};
-MaskedGraph keep_only(const Matrix& adjacency, const Matrix& features,
-                      const std::vector<std::uint32_t>& kept);
-
-// Edge-list counterpart of keep_only: same node count, only edges with
-// BOTH endpoints kept (input order preserved), feature rows of dropped
-// nodes zeroed, label/family carried over. dense_adjacency() of the result
-// equals keep_only(graph.dense_adjacency(), ...).adjacency entry for
-// entry, so predictions on it are bit-identical to the dense masked path —
-// at O(N·F + E) instead of O(N^2). Throws on an out-of-range kept id.
+// The graph with every node NOT in `kept` masked out: same node count,
+// only edges with BOTH endpoints kept (input order preserved), feature rows
+// of dropped nodes zeroed (Algorithm 2 lines 17-18 plus the feature zeroing
+// of DESIGN decision 3), label/family carried over. Shapes are preserved
+// (masked, not compacted), matching the paper's fixed input-size
+// evaluation of subgraphs. O(N·F + E); throws on an out-of-range kept id.
 Acfg masked_subgraph(const Acfg& graph, const std::vector<std::uint32_t>& kept);
 
 // True when row `node` and column `node` of `adjacency` are entirely zero.

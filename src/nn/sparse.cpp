@@ -32,18 +32,16 @@ obs::Counter& spmm_isa_counter(simd::Isa isa) {
                               std::to_string(b.cols()) + "]");
 }
 
-// Splits [0, extent) into at most pool.worker_count() contiguous chunks and
-// runs body(begin, end) for each on the pool. Chunks are disjoint, so the
-// body may write its output range without synchronization.
+// Splits [0, extent) into min(extent, pool.worker_count()) chunk_range()
+// chunks and runs body(begin, end) for each on the pool. Chunks are
+// disjoint, so the body may write its output range without
+// synchronization.
 void parallel_ranges(ThreadPool& pool, std::size_t extent,
                      const std::function<void(std::size_t, std::size_t)>& body) {
-  const std::size_t chunk_count =
-      std::max<std::size_t>(1, std::min(extent, pool.worker_count()));
-  const std::size_t chunk = (extent + chunk_count - 1) / chunk_count;
+  const std::size_t chunk_count = std::min(extent, pool.worker_count());
   pool.parallel_for(chunk_count, [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(extent, begin + chunk);
-    if (begin < end) body(begin, end);
+    const IndexRange range = chunk_range(extent, chunk_count, c);
+    body(range.begin, range.end);
   });
 }
 

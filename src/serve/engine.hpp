@@ -55,7 +55,7 @@
 //     latency objectives, multi-window burn rate, threshold-crossing
 //     logs), surfaced by statusz_json();
 //   * statusz_json() renders the live engine state (uptime, queue depth,
-//     in-flight, ISA/precision, last error, SLO burns) and, together
+//     in-flight, kernel ISA, last error, SLO burns) and, together
 //     with the Prometheus exposition of the global registry, backs the
 //     optional loopback admin endpoint (ServeConfig::admin_port >= 0):
 //     GET /metrics | /healthz | /statusz while the engine serves.
@@ -104,11 +104,6 @@ struct ServeConfig {
   std::size_t max_batch = 8;
   // Workers for the explainer fan-out (0 = hardware concurrency).
   std::size_t explain_workers = 0;
-  // Inference precision for the batched forward pass. Bf16 makes the
-  // engine serve from its own precision-set clone of the borrowed GNN
-  // (packed bf16 weights, fp32 accumulation — see matrix16.hpp); the
-  // caller's model is untouched and the explainers still see it.
-  Precision precision = Precision::Fp64;
   // Loopback admin endpoint (/metrics, /healthz, /statusz). Negative =
   // disabled (the default); 0 = ephemeral port (admin_port() tells).
   int admin_port = -1;
@@ -208,9 +203,10 @@ class ExplanationEngine {
   // Multi-window SLO burn rates over the finished-request stream.
   obs::SloStatus slo_status() const { return slo_.status(); }
 
-  // The /statusz document: {"uptime_seconds":...,"queue_depth":...,
-  // "inflight":...,"requests":{...},"batch":{...},"isa":...,
-  // "precision":...,"last_error":...,"slo":{...}}. Callable from any
+  // The /statusz document (schema cfgx.statusz.v1): {"schema":...,
+  // "uptime_seconds":...,"queue_depth":...,"inflight":...,"requests":{...},
+  // "batch":{...},"isa":...,"last_error":...,"slow_exemplars":...,
+  // "slo":{...}}. Callable from any
   // thread while the engine serves.
   std::string statusz_json() const;
 
@@ -230,8 +226,6 @@ class ExplanationEngine {
   void update_uptime_gauge() const;
 
   const GnnClassifier* gnn_;
-  // Precision-set clone backing gnn_ when config_.precision != Fp64.
-  std::unique_ptr<GnnClassifier> owned_gnn_;
   ExplainerFactory factory_;
   ServeConfig config_;
   ThreadPool explain_pool_;

@@ -53,6 +53,13 @@ void run_serial(std::size_t count, const std::function<void(std::size_t)>& fn) {
 
 }  // namespace
 
+IndexRange chunk_range(std::size_t count, std::size_t chunks, std::size_t c) {
+  const std::size_t base = count / chunks;
+  const std::size_t extra = count % chunks;
+  const std::size_t begin = c * base + std::min(c, extra);
+  return {begin, begin + base + (c < extra ? 1 : 0)};
+}
+
 ThreadPool::ThreadPool(std::size_t worker_count) {
   if (worker_count == 0) {
     worker_count = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -115,14 +122,13 @@ void ThreadPool::parallel_for(std::size_t count,
   // small per-item bodies are otherwise dominated by packaged_task
   // allocation and queue-lock traffic.
   const std::size_t chunk_count = std::min(count, worker_count());
-  const std::size_t chunk = (count + chunk_count - 1) / chunk_count;
   std::vector<std::future<void>> futures;
   futures.reserve(chunk_count);
   for (std::size_t c = 0; c < chunk_count; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(count, begin + chunk);
-    futures.push_back(submit([&fn, begin, end] {
-      run_serial(end - begin, [&fn, begin](std::size_t k) { fn(begin + k); });
+    const IndexRange range = chunk_range(count, chunk_count, c);
+    futures.push_back(submit([&fn, range] {
+      run_serial(range.end - range.begin,
+                 [&fn, &range](std::size_t k) { fn(range.begin + k); });
     }));
   }
   std::exception_ptr first_error;

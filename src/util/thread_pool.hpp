@@ -24,6 +24,19 @@
 
 namespace cfgx {
 
+// Half-open index range [begin, end).
+struct IndexRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+// Chunk `c` of [0, count) split into `chunks` contiguous, disjoint chunks
+// in index order whose sizes differ by at most one (the first
+// count % chunks chunks take one extra index), so no chunk starts past
+// `count`; when chunks > count the trailing chunks are empty. Requires
+// c < chunks.
+IndexRange chunk_range(std::size_t count, std::size_t chunks, std::size_t c);
+
 class ThreadPool {
  public:
   // worker_count == 0 selects hardware_concurrency (at least 1).
@@ -46,9 +59,10 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   // Runs fn(i) for i in [0, count), blocking until all complete. Indices
-  // are dispatched as at most worker_count() contiguous chunks (one queue
-  // entry per chunk, not per index). Every index is attempted even when an
-  // earlier one throws; the first exception in index order is rethrown.
+  // are dispatched as min(count, worker_count()) chunk_range() chunks (one
+  // queue entry per chunk, not per index). Every index is attempted even
+  // when an earlier one throws; the first exception in index order is
+  // rethrown.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:

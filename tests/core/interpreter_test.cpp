@@ -1,9 +1,10 @@
 // Tests for the interpretation stage (Algorithm 2).
 #include "core/interpreter.hpp"
 
-#include <cmath>
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "dataset/generator.hpp"
@@ -52,7 +53,6 @@ TEST_F(InterpreterTest, SubgraphCountMatchesStepSize) {
   config.step_size_percent = 10;
   const Interpretation result = interpreter.interpret(graph_, config);
   EXPECT_EQ(result.subgraph_nodes.size(), 10u);
-  EXPECT_EQ(result.subgraph_adjacencies.size(), 10u);
 }
 
 TEST_F(InterpreterTest, SubgraphSizesFollowTheGrid) {
@@ -95,28 +95,84 @@ TEST_F(InterpreterTest, SmallestSubgraphIsPrefixOfOrdering) {
 }
 
 TEST_F(InterpreterTest, AdjacencySnapshotsMatchNodeSets) {
+  // Each retained node set rebuilds its subgraph: dropped nodes are fully
+  // masked, and every edge between two kept nodes survives.
   Interpreter interpreter(model_, gnn_);
   const Interpretation result = interpreter.interpret(graph_);
+  const Matrix full = graph_.dense_adjacency();
   for (std::size_t k = 0; k < result.subgraph_nodes.size(); ++k) {
-    const Matrix& a = result.subgraph_adjacencies[k];
+    const Acfg sub = masked_subgraph(graph_, result.subgraph_nodes[k]);
+    const Matrix a = sub.dense_adjacency();
     std::set<std::uint32_t> kept(result.subgraph_nodes[k].begin(),
                                  result.subgraph_nodes[k].end());
     for (std::uint32_t v = 0; v < graph_.num_nodes(); ++v) {
       if (!kept.count(v)) {
         EXPECT_TRUE(node_is_masked(a, v))
             << "level " << k << " node " << v << " should be masked";
+        continue;
+      }
+      for (std::uint32_t u : kept) {
+        EXPECT_EQ(a(v, u), full(v, u)) << "level " << k << " edge " << v
+                                       << "->" << u;
       }
     }
   }
 }
 
-TEST_F(InterpreterTest, SnapshotsCanBeDisabled) {
-  Interpreter interpreter(model_, gnn_);
-  InterpretationConfig config;
-  config.keep_adjacency_snapshots = false;
-  const Interpretation result = interpreter.interpret(graph_, config);
-  EXPECT_TRUE(result.subgraph_adjacencies.empty());
-  EXPECT_EQ(result.subgraph_nodes.size(), 10u);
+// Pins Algorithm 2's selection on NaN scores: the min-scan compares with
+// `score < min`, so a NaN score is never selected while a finite score
+// remains. An isolated node with a NaN feature row gets a NaN embedding,
+// and a scorer without hidden layers (whose ReLU would map NaN to 0) turns
+// it into a NaN score; nothing else changes, since the node's row touches
+// no other node. So it is pruned last and leads ordered_nodes, and every
+// other node keeps the ordering it has on the graph without that node. The
+// base graph has an even node count so that, at step 50 and 100, each
+// iteration prunes as many base nodes in both runs.
+TEST_F(InterpreterTest, NanScoredNodeIsNeverSelectedWhileFiniteScoresRemain) {
+  const std::uint32_t base_nodes = graph_.num_nodes() + graph_.num_nodes() % 2;
+  Acfg base(base_nodes, graph_.feature_count());
+  base.set_edges(graph_.edges());
+  Acfg with_nan(base_nodes + 1, graph_.feature_count());
+  with_nan.set_edges(graph_.edges());
+  for (std::uint32_t v = 0; v < graph_.num_nodes(); ++v) {
+    for (std::size_t c = 0; c < graph_.feature_count(); ++c) {
+      base.features()(v, c) = graph_.features()(v, c);
+      with_nan.features()(v, c) = graph_.features()(v, c);
+    }
+  }
+  const std::uint32_t nan_node = base_nodes;
+  for (std::size_t c = 0; c < graph_.feature_count(); ++c) {
+    with_nan.features()(nan_node, c) = std::nan("");
+  }
+
+  ExplainerModelConfig linear_scorer;
+  linear_scorer.embedding_dim = 8;
+  linear_scorer.num_classes = kFamilyCount;
+  linear_scorer.scorer_dims = {1};
+  ExplainerModel model(linear_scorer, rng_);
+  const Matrix scores = model.score_nodes(gnn_.embed(with_nan));
+  ASSERT_TRUE(std::isnan(scores(nan_node, 0)));
+  for (std::uint32_t v = 0; v < nan_node; ++v) {
+    ASSERT_TRUE(std::isfinite(scores(v, 0))) << "node " << v;
+  }
+
+  Interpreter interpreter(model, gnn_);
+  for (unsigned step : {10u, 50u, 100u}) {
+    InterpretationConfig config;
+    config.step_size_percent = step;
+    const Interpretation result = interpreter.interpret(with_nan, config);
+    ASSERT_EQ(result.ordered_nodes.size(), with_nan.num_nodes());
+    EXPECT_EQ(result.ordered_nodes.front(), nan_node) << "step " << step;
+    for (const auto& nodes : result.subgraph_nodes) {
+      EXPECT_NE(std::find(nodes.begin(), nodes.end(), nan_node), nodes.end())
+          << "step " << step << ": NaN node pruned early";
+    }
+    if (step == 10) continue;  // pruning counts differ between the graphs
+    const std::vector<std::uint32_t> rest(result.ordered_nodes.begin() + 1,
+                                          result.ordered_nodes.end());
+    EXPECT_EQ(rest, interpreter.interpret(base, config).ordered_nodes)
+        << "step " << step;
+  }
 }
 
 TEST_F(InterpreterTest, StepSizeValidation) {
@@ -168,7 +224,6 @@ TEST_P(InterpreterStepSize, GridSizesForEveryDivisorStep) {
   Interpreter interpreter(model, gnn);
   InterpretationConfig config;
   config.step_size_percent = GetParam();
-  config.keep_adjacency_snapshots = false;
   const Interpretation result = interpreter.interpret(graph, config);
   EXPECT_EQ(result.subgraph_nodes.size(), 100u / GetParam());
   EXPECT_EQ(result.ordered_nodes.size(), graph.num_nodes());
@@ -193,9 +248,7 @@ TEST(InterpreterReadouts, WorksWithSortPoolClassifier) {
   const Acfg graph = generate_acfg(Family::Swizzor, rng);
 
   Interpreter interpreter(theta, gnn);
-  InterpretationConfig config;
-  config.keep_adjacency_snapshots = false;
-  const Interpretation result = interpreter.interpret(graph, config);
+  const Interpretation result = interpreter.interpret(graph);
   EXPECT_EQ(result.ordered_nodes.size(), graph.num_nodes());
   std::set<std::uint32_t> unique(result.ordered_nodes.begin(),
                                  result.ordered_nodes.end());

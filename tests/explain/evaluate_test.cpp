@@ -7,6 +7,7 @@
 #include "explain/baselines.hpp"
 #include "gnn/trainer.hpp"
 #include "graph/ops.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -188,10 +189,10 @@ TEST_F(EvaluateFixture, ComplementAccuracyMatchesManualComplementMasking) {
   for (std::uint32_t v = 0; v < graph.num_nodes(); ++v) {
     if (!in_top[v]) complement.push_back(v);
   }
-  const MaskedGraph masked =
-      keep_only(graph.dense_adjacency(), graph.features(), complement);
+  const oracle::MaskedGraph masked = oracle::keep_only(
+      graph.dense_adjacency(), graph.features(), complement);
   const Prediction prediction =
-      gnn_->predict_masked(masked.adjacency, masked.features);
+      oracle::predict(*gnn_, masked.adjacency, masked.features);
   const double expected =
       static_cast<int>(prediction.predicted_class) == graph.label() ? 1.0
                                                                     : 0.0;

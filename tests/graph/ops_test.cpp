@@ -2,19 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include "support/dense_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace cfgx {
 namespace {
 
-Matrix triangle_adjacency() {
+Acfg triangle_graph(std::size_t feature_count = kAcfgFeatureCount) {
   // 0 -> 1 (flow), 1 -> 2 (call), 2 -> 0 (flow)
-  Acfg graph(3);
+  Acfg graph(3, feature_count);
   graph.add_edge(0, 1, EdgeKind::Flow);
   graph.add_edge(1, 2, EdgeKind::Call);
   graph.add_edge(2, 0, EdgeKind::Flow);
-  return graph.dense_adjacency();
+  return graph;
 }
+
+Matrix triangle_adjacency() { return triangle_graph().dense_adjacency(); }
 
 TEST(NormalizedAdjacencyTest, IsSymmetric) {
   const Matrix a_hat = normalized_adjacency(triangle_adjacency());
@@ -33,7 +36,7 @@ TEST(NormalizedAdjacencyTest, ActiveNodesHaveSelfLoops) {
 TEST(NormalizedAdjacencyTest, MaskedNodeRowIsZero) {
   Matrix a = triangle_adjacency();
   Matrix x(3, 2, 1.0);
-  mask_node(a, x, 1);
+  oracle::mask_node(a, x, 1);
   const Matrix a_hat = normalized_adjacency(a);
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_DOUBLE_EQ(a_hat(1, j), 0.0);
@@ -97,7 +100,7 @@ TEST(NormalizedAdjacencyCsrTest, MatchesDenseBitForBit) {
 TEST(NormalizedAdjacencyCsrTest, MaskedNodeHasEmptyRow) {
   Matrix a = triangle_adjacency();
   Matrix x(3, 4, 1.0);
-  mask_node(a, x, 1);
+  oracle::mask_node(a, x, 1);
   const CsrMatrix csr = normalized_adjacency_csr(a, &x);
   EXPECT_EQ(csr.row_ptr()[2] - csr.row_ptr()[1], 0u);  // node 1 stores nothing
 }
@@ -105,7 +108,7 @@ TEST(NormalizedAdjacencyCsrTest, MaskedNodeHasEmptyRow) {
 TEST(MaskNodeTest, ZeroesRowColumnAndFeatures) {
   Matrix a = triangle_adjacency();
   Matrix x(3, 4, 2.0);
-  mask_node(a, x, 2);
+  oracle::mask_node(a, x, 2);
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_DOUBLE_EQ(a(2, j), 0.0);
     EXPECT_DOUBLE_EQ(a(j, 2), 0.0);
@@ -119,43 +122,44 @@ TEST(MaskNodeTest, ZeroesRowColumnAndFeatures) {
 TEST(MaskNodeTest, OutOfRangeThrows) {
   Matrix a(3, 3);
   Matrix x(3, 2);
-  EXPECT_THROW(mask_node(a, x, 3), std::out_of_range);
+  EXPECT_THROW(oracle::mask_node(a, x, 3), std::out_of_range);
   Matrix bad_x(2, 2);
-  EXPECT_THROW(mask_node(a, bad_x, 0), std::invalid_argument);
+  EXPECT_THROW(oracle::mask_node(a, bad_x, 0), std::invalid_argument);
 }
 
 TEST(NodeIsMaskedTest, DetectsMaskedNodes) {
   Matrix a = triangle_adjacency();
   Matrix x(3, 1);
   EXPECT_FALSE(node_is_masked(a, 0));
-  mask_node(a, x, 0);
+  oracle::mask_node(a, x, 0);
   EXPECT_TRUE(node_is_masked(a, 0));
 }
 
+// keep_only's masking contract, served in production by masked_subgraph.
 TEST(KeepOnlyTest, PreservesShapeMasksComplement) {
-  const Matrix a = triangle_adjacency();
-  const Matrix x(3, 2, 1.0);
-  const MaskedGraph masked = keep_only(a, x, {0, 1});
-  EXPECT_EQ(masked.adjacency.rows(), 3u);
-  EXPECT_TRUE(node_is_masked(masked.adjacency, 2));
-  EXPECT_DOUBLE_EQ(masked.adjacency(0, 1), 1.0);   // kept edge
-  EXPECT_DOUBLE_EQ(masked.adjacency(1, 2), 0.0);   // edge into masked node
-  EXPECT_DOUBLE_EQ(masked.features(2, 0), 0.0);
-  EXPECT_DOUBLE_EQ(masked.features(0, 0), 1.0);
+  Acfg graph = triangle_graph(2);
+  graph.features().fill(1.0);
+  const Acfg masked = masked_subgraph(graph, {0, 1});
+  const Matrix adjacency = masked.dense_adjacency();
+  EXPECT_EQ(masked.num_nodes(), 3u);
+  EXPECT_TRUE(node_is_masked(adjacency, 2));
+  EXPECT_DOUBLE_EQ(adjacency(0, 1), 1.0);  // kept edge
+  EXPECT_DOUBLE_EQ(adjacency(1, 2), 0.0);  // edge into masked node
+  EXPECT_DOUBLE_EQ(masked.features()(2, 0), 0.0);
+  EXPECT_DOUBLE_EQ(masked.features()(0, 0), 1.0);
 }
 
 TEST(KeepOnlyTest, KeepAllIsIdentity) {
-  const Matrix a = triangle_adjacency();
-  const Matrix x(3, 2, 1.0);
-  const MaskedGraph masked = keep_only(a, x, {0, 1, 2});
-  EXPECT_EQ(masked.adjacency, a);
-  EXPECT_EQ(masked.features, x);
+  Acfg graph = triangle_graph(2);
+  graph.features().fill(1.0);
+  const Acfg masked = masked_subgraph(graph, {0, 1, 2});
+  EXPECT_EQ(masked.edges(), graph.edges());
+  EXPECT_EQ(masked.features(), graph.features());
 }
 
 TEST(KeepOnlyTest, OutOfRangeThrows) {
-  const Matrix a(2, 2);
-  const Matrix x(2, 1);
-  EXPECT_THROW(keep_only(a, x, {5}), std::out_of_range);
+  const Acfg graph(2, 1);
+  EXPECT_THROW(masked_subgraph(graph, {5}), std::out_of_range);
 }
 
 TEST(TopKNodesTest, OrdersByScoreDescending) {
@@ -187,81 +191,6 @@ TEST(NodesForFractionTest, CeilAndClamp) {
 TEST(NodesForFractionTest, BadFractionThrows) {
   EXPECT_THROW(nodes_for_fraction(10, -0.1), std::invalid_argument);
   EXPECT_THROW(nodes_for_fraction(10, 1.1), std::invalid_argument);
-}
-
-Acfg chain_graph(std::uint32_t nodes, std::size_t feature_count, double fill) {
-  Acfg graph(nodes, feature_count);
-  for (std::uint32_t i = 0; i + 1 < nodes; ++i) {
-    graph.add_edge(i, i + 1, EdgeKind::Flow);
-  }
-  for (std::size_t i = 0; i < graph.features().size(); ++i) {
-    graph.features().data()[i] = fill + static_cast<double>(i) * 0.01;
-  }
-  return graph;
-}
-
-TEST(BatchNormalizedGraphsTest, BlocksMatchPerGraphNormalization) {
-  const Acfg g0 = chain_graph(4, 3, 0.5);
-  const Acfg g1 = chain_graph(7, 3, -0.25);
-  const GraphBatch batch = batch_normalized_graphs({&g0, &g1});
-
-  ASSERT_EQ(batch.num_graphs(), 2u);
-  EXPECT_EQ(batch.a_hat.matrix().rows(), 11u);
-  EXPECT_EQ(batch.features.rows(), 11u);
-  EXPECT_EQ(batch.features.cols(), 3u);
-  ASSERT_EQ(batch.inv_sqrt_degree.size(), 11u);
-
-  const std::vector<const Acfg*> graphs = {&g0, &g1};
-  for (std::size_t k = 0; k < graphs.size(); ++k) {
-    const Matrix adjacency = graphs[k]->dense_adjacency();
-    std::vector<double> inv_sqrt;
-    const CsrMatrix expected =
-        normalized_adjacency_csr(adjacency, inv_sqrt, &graphs[k]->features());
-    const BatchedCsr::Range& range = batch.range(k);
-    ASSERT_EQ(range.size(), graphs[k]->num_nodes());
-
-    const Matrix expected_dense = expected.to_dense();
-    const Matrix batch_dense = batch.a_hat.matrix().to_dense();
-    for (std::size_t i = 0; i < range.size(); ++i) {
-      for (std::size_t j = 0; j < range.size(); ++j) {
-        EXPECT_EQ(batch_dense(range.begin + i, range.begin + j),
-                  expected_dense(i, j));
-      }
-      EXPECT_EQ(batch.inv_sqrt_degree[range.begin + i], inv_sqrt[i]);
-      for (std::size_t c = 0; c < 3; ++c) {
-        EXPECT_EQ(batch.features(range.begin + i, c),
-                  graphs[k]->features()(i, c));
-      }
-    }
-    EXPECT_EQ(batch.active_counts[k],
-              count_active_nodes(adjacency, graphs[k]->features()));
-  }
-}
-
-TEST(BatchNormalizedGraphsTest, ActiveCountsSkipPaddedNodes) {
-  // Two trailing nodes with no edges and zero features are inactive.
-  Acfg graph(5, 2);
-  graph.add_edge(0, 1, EdgeKind::Flow);
-  graph.features()(0, 0) = 1.0;
-  graph.features()(1, 1) = 1.0;
-  graph.features()(2, 0) = 3.0;  // isolated but feature-active
-  const GraphBatch batch = batch_normalized_graphs({&graph});
-  ASSERT_EQ(batch.active_counts.size(), 1u);
-  EXPECT_EQ(batch.active_counts[0], 3u);
-  EXPECT_EQ(batch.inv_sqrt_degree[3], 0.0);
-  EXPECT_EQ(batch.inv_sqrt_degree[4], 0.0);
-}
-
-TEST(BatchNormalizedGraphsTest, EmptyAndInvalidInputs) {
-  const GraphBatch empty = batch_normalized_graphs({});
-  EXPECT_EQ(empty.num_graphs(), 0u);
-
-  const Acfg narrow(2, 2);
-  const Acfg wide(2, 3);
-  EXPECT_THROW(batch_normalized_graphs({&narrow, &wide}),
-               std::invalid_argument);
-  EXPECT_THROW(batch_normalized_graphs({&narrow, nullptr}),
-               std::invalid_argument);
 }
 
 }  // namespace

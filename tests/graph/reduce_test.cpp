@@ -10,6 +10,7 @@
 
 #include "graph/ops.hpp"
 #include "graph/reduce.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -353,8 +354,8 @@ TEST(MaskedSubgraph, MatchesKeepOnlyEntryForEntry) {
 
   const std::vector<std::uint32_t> kept{0, 1};
   const Acfg sub = masked_subgraph(g, kept);
-  const MaskedGraph reference =
-      keep_only(g.dense_adjacency(), g.features(), kept);
+  const oracle::MaskedGraph reference =
+      oracle::keep_only(g.dense_adjacency(), g.features(), kept);
 
   EXPECT_EQ(sub.num_nodes(), g.num_nodes());
   const Matrix sub_adj = sub.dense_adjacency();

@@ -130,6 +130,22 @@ TEST(SpmmTest, ParallelMatchesSerialExactly) {
   // regions with unchanged accumulation order.
   EXPECT_EQ(spmm(csr, h, &pool), spmm(csr, h));
   EXPECT_EQ(spmm_transpose_a(csr, h, &pool), spmm_transpose_a(csr, h));
+
+  // Every small (rows, pool size) pair, including rows just above a
+  // multiple of the worker count: the row chunks stay disjoint and cover
+  // every row.
+  for (std::size_t workers = 1; workers <= 8; ++workers) {
+    ThreadPool sized(workers);
+    for (std::size_t rows = 0; rows <= 20; ++rows) {
+      const CsrMatrix small =
+          CsrMatrix::from_dense(random_sparse(rows, rows, 0.2, rng));
+      const Matrix b = random_dense(rows, 5, rng);
+      EXPECT_EQ(spmm(small, b, &sized), spmm(small, b))
+          << "workers " << workers << " rows " << rows;
+      EXPECT_EQ(spmm_transpose_a(small, b, &sized), spmm_transpose_a(small, b))
+          << "workers " << workers << " rows " << rows;
+    }
+  }
 }
 
 TEST(MatmulParallelTest, MatchesSerialMatmulExactly) {

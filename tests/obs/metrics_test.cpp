@@ -214,8 +214,12 @@ TEST_F(MetricsTest, ThreadPoolInstrumentationCountsSubmittedTasks) {
   const std::uint64_t submitted_before = submitted.value();
   const std::uint64_t run_before = run_seconds.count();
 
-  ThreadPool pool(4);
-  for (int i = 0; i < 10; ++i) pool.submit([] {}).get();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 10; ++i) pool.submit([] {}).get();
+    // A worker records the run time after the task's future is ready;
+    // joining the workers (pool destruction) waits for the last record.
+  }
 
   EXPECT_EQ(submitted.value() - submitted_before, 10u);
   EXPECT_EQ(run_seconds.count() - run_before, 10u);

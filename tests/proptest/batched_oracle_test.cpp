@@ -4,8 +4,9 @@
 // forward pass; these properties pin down that a graph's embeddings and
 // logits do not depend on which batch it rode in — for the singleton
 // batch, the smallest real batch, and a 17-graph batch of ragged node
-// counts, over both batch-preparation paths (batch_normalized_graphs and
-// the engine's MaskedNormalizedAdjacency-frozen CSRs).
+// counts, over the engine's batch-preparation path (concatenated
+// MaskedNormalizedAdjacency-frozen CSRs), against the dense per-graph
+// reference.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -19,6 +20,7 @@
 #include "nn/sparse.hpp"
 #include "proptest/generators.hpp"
 #include "proptest/proptest.hpp"
+#include "support/dense_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace cfgx {
@@ -96,7 +98,7 @@ class BatchedInferenceOracle : public ::testing::Test {
 
   // Shared check: embeddings computed through ONE batched forward over
   // `batched` + `inv_sqrt` + `stacked` must slice back to each graph's
-  // per-graph embed()/class_logits() bits.
+  // per-graph dense-reference embed/class_logits bits.
   bool batched_matches_per_graph(const BatchCase& c, const BatchedCsr& batched,
                                  const std::vector<double>& inv_sqrt,
                                  const Matrix& stacked,
@@ -106,7 +108,8 @@ class BatchedInferenceOracle : public ::testing::Test {
     for (std::size_t k = 0; k < c.graphs.size(); ++k) {
       const Acfg& graph = c.graphs[k];
       const Matrix adjacency = graph.dense_adjacency();
-      const Matrix expected = gnn_.embed(adjacency, graph.features());
+      const Matrix expected =
+          oracle::embed(gnn_, adjacency, graph.features());
       const Matrix slice = slice_rows(embeddings, batched.range(k));
       if (!bit_identical(slice, expected)) return false;
       const Matrix expected_logits = gnn_.class_logits(
@@ -122,20 +125,6 @@ class BatchedInferenceOracle : public ::testing::Test {
   Rng rng_;
   GnnClassifier gnn_;
 };
-
-TEST_F(BatchedInferenceOracle, GraphBatchInferenceBitIdenticalToPerGraph) {
-  CHECK_PROPERTY(
-      "batch_normalized_graphs + one embed_into == per-graph embed/logits",
-      batch_cases(), [&](const BatchCase& c) {
-        std::vector<const Acfg*> ptrs;
-        for (const Acfg& graph : c.graphs) ptrs.push_back(&graph);
-        const GraphBatch batch = batch_normalized_graphs(ptrs);
-        return batched_matches_per_graph(c, batch.a_hat,
-                                         batch.inv_sqrt_degree, batch.features,
-                                         batch.active_counts);
-      },
-      {.iterations = 25});
-}
 
 TEST_F(BatchedInferenceOracle, FrozenCsrBatchInferenceBitIdenticalToPerGraph) {
   CHECK_PROPERTY(

@@ -29,6 +29,7 @@
 #include "obs/metrics.hpp"
 #include "proptest/generators.hpp"
 #include "proptest/proptest.hpp"
+#include "support/dense_oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cfgx {
@@ -219,7 +220,7 @@ TEST(IntoKernelsOracle, IncrementalMaskingBitIdenticalToDenseRenormalize) {
 
         if (!agrees()) return false;  // construction must match
         for (const std::uint32_t victim : c.victims) {
-          mask_node(adjacency, features, victim);
+          oracle::mask_node(adjacency, features, victim);
           masked.prune(victim);
           if (refresh_rng.bernoulli(0.5)) {
             masked.refresh();
@@ -233,23 +234,21 @@ TEST(IntoKernelsOracle, IncrementalMaskingBitIdenticalToDenseRenormalize) {
 }
 
 bool interpretations_equal(const Interpretation& a, const Interpretation& b) {
-  if (a.ordered_nodes != b.ordered_nodes) return false;
-  if (a.subgraph_nodes != b.subgraph_nodes) return false;
-  if (a.subgraph_adjacencies.size() != b.subgraph_adjacencies.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < a.subgraph_adjacencies.size(); ++k) {
-    if (!bit_identical(a.subgraph_adjacencies[k], b.subgraph_adjacencies[k])) {
-      return false;
-    }
-  }
-  return true;
+  return a.ordered_nodes == b.ordered_nodes &&
+         a.subgraph_nodes == b.subgraph_nodes;
 }
+
+// The seed Algorithm 2 result plus the dense masked adjacency it held at
+// each retained size (smallest first).
+struct DenseReference {
+  Interpretation interpretation;
+  std::vector<Matrix> subgraph_adjacencies;
+};
 
 // The seed implementation of Algorithm 2 (per-iteration densify +
 // re-normalize + value-returning kernels), kept verbatim as the oracle the
 // workspace-backed interpreter must reproduce node for node.
-Interpretation dense_reference_interpret(const GnnClassifier& gnn,
+DenseReference dense_reference_interpret(const GnnClassifier& gnn,
                                          ExplainerModel& model,
                                          const Acfg& graph,
                                          const InterpretationConfig& config) {
@@ -258,7 +257,8 @@ Interpretation dense_reference_interpret(const GnnClassifier& gnn,
   Matrix adjacency = graph.dense_adjacency();
   Matrix features = graph.features();
 
-  Interpretation result;
+  DenseReference reference;
+  Interpretation& result = reference.interpretation;
   result.step_size_percent = step;
   std::vector<std::uint32_t> remaining(n_real);
   for (std::uint32_t i = 0; i < n_real; ++i) remaining[i] = i;
@@ -267,10 +267,8 @@ Interpretation dense_reference_interpret(const GnnClassifier& gnn,
   const unsigned iterations = 100 / step;
   for (unsigned it = 0; it < iterations; ++it) {
     result.subgraph_nodes.push_back(remaining);
-    if (config.keep_adjacency_snapshots) {
-      result.subgraph_adjacencies.push_back(adjacency);
-    }
-    const Matrix embeddings = gnn.embed(adjacency, features);
+    reference.subgraph_adjacencies.push_back(adjacency);
+    const Matrix embeddings = oracle::embed(gnn, adjacency, features);
     const Matrix scores = model.score_nodes(embeddings);
     const auto target_remaining = static_cast<std::size_t>(
         (static_cast<std::uint64_t>(n_real) * (100 - (it + 1) * step) + 50) /
@@ -291,7 +289,7 @@ Interpretation dense_reference_interpret(const GnnClassifier& gnn,
       const std::uint32_t victim = remaining[min_pos];
       remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(min_pos));
       removal_order.push_back(victim);
-      mask_node(adjacency, features, victim);
+      oracle::mask_node(adjacency, features, victim);
     }
   }
   result.ordered_nodes.assign(remaining.begin(), remaining.end());
@@ -299,9 +297,9 @@ Interpretation dense_reference_interpret(const GnnClassifier& gnn,
     result.ordered_nodes.push_back(*it);
   }
   std::reverse(result.subgraph_nodes.begin(), result.subgraph_nodes.end());
-  std::reverse(result.subgraph_adjacencies.begin(),
-               result.subgraph_adjacencies.end());
-  return result;
+  std::reverse(reference.subgraph_adjacencies.begin(),
+               reference.subgraph_adjacencies.end());
+  return reference;
 }
 
 class InterpreterEquivalence : public ::testing::Test {
@@ -331,14 +329,22 @@ TEST_F(InterpreterEquivalence, MatchesSeedDensePathOnRandomGraphs) {
       "incremental-CSR interpret == seed dense interpret",
       proptest::acfgs(20, 0.2),
       [&](const Acfg& graph) {
-        for (const bool snapshots : {false, true}) {
-          InterpretationConfig config;
-          config.step_size_percent = 20;
-          config.keep_adjacency_snapshots = snapshots;
-          const Interpretation fast = interpreter.interpret(graph, config);
-          const Interpretation reference =
-              dense_reference_interpret(gnn_, model_, graph, config);
-          if (!interpretations_equal(fast, reference)) return false;
+        InterpretationConfig config;
+        config.step_size_percent = 20;
+        const Interpretation fast = interpreter.interpret(graph, config);
+        const DenseReference reference =
+            dense_reference_interpret(gnn_, model_, graph, config);
+        if (!interpretations_equal(fast, reference.interpretation)) {
+          return false;
+        }
+        // Each retained node set rebuilds the dense masked adjacency the
+        // seed path held at that size.
+        for (std::size_t k = 0; k < fast.subgraph_nodes.size(); ++k) {
+          const Acfg sub = masked_subgraph(graph, fast.subgraph_nodes[k]);
+          if (!bit_identical(sub.dense_adjacency(),
+                             reference.subgraph_adjacencies[k])) {
+            return false;
+          }
         }
         return true;
       },
@@ -354,15 +360,13 @@ TEST_F(InterpreterEquivalence, RepeatedInterpretIsDeterministicAndAllocFree) {
   Rng graph_rng(1234);
   const Acfg graph = generate_acfg(Family::Rbot, graph_rng);
   Interpreter interpreter(model_, gnn_);
-  InterpretationConfig config;
-  config.keep_adjacency_snapshots = false;
 
-  const Interpretation first = interpreter.interpret(graph, config);
-  interpreter.interpret(graph, config);  // warm the thread-local pool
+  const Interpretation first = interpreter.interpret(graph);
+  interpreter.interpret(graph);  // warm the thread-local pool
 
   const std::uint64_t allocated_before = allocated.value();
   for (int round = 0; round < 3; ++round) {
-    const Interpretation repeat = interpreter.interpret(graph, config);
+    const Interpretation repeat = interpreter.interpret(graph);
     EXPECT_TRUE(interpretations_equal(first, repeat)) << "round " << round;
   }
   // Steady state: every scratch request is served from pooled capacity.

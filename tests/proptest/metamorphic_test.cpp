@@ -139,22 +139,16 @@ class MetamorphicTest : public ::testing::Test {
       seen[v] = 1;
     }
 
-    const Matrix adjacency = graph.dense_adjacency();
-    const Matrix permuted_adjacency = permuted.dense_adjacency();
     for (double fraction : {0.1, 0.2, 0.5, 1.0}) {
       const auto kept = ranking.top_fraction(fraction);
       std::vector<std::uint32_t> pulled_back;
       pulled_back.reserve(kept.size());
       for (std::uint32_t v : kept) pulled_back.push_back(inverse[v]);
 
-      const MaskedGraph masked_permuted =
-          keep_only(permuted_adjacency, permuted.features(), kept);
-      const MaskedGraph masked_original =
-          keep_only(adjacency, graph.features(), pulled_back);
-      const Prediction on_permuted = gnn_->predict_masked(
-          masked_permuted.adjacency, masked_permuted.features);
-      const Prediction on_original = gnn_->predict_masked(
-          masked_original.adjacency, masked_original.features);
+      const Prediction on_permuted =
+          gnn_->predict(masked_subgraph(permuted, kept));
+      const Prediction on_original =
+          gnn_->predict(masked_subgraph(graph, pulled_back));
       if (on_permuted.predicted_class != on_original.predicted_class) {
         return false;
       }
@@ -240,10 +234,8 @@ TEST_F(MetamorphicTest, CfgExplainerScoresArePermutationEquivariant) {
         const Acfg permuted = permute_acfg(graph, perm);
 
         ExplainerModel& model = cfg_explainer_->model();
-        const Matrix scores = model.score_nodes(
-            gnn_->embed(graph.dense_adjacency(), graph.features()));
-        const Matrix permuted_scores = model.score_nodes(
-            gnn_->embed(permuted.dense_adjacency(), permuted.features()));
+        const Matrix scores = model.score_nodes(gnn_->embed(graph));
+        const Matrix permuted_scores = model.score_nodes(gnn_->embed(permuted));
         for (std::uint32_t v = 0; v < graph.num_nodes(); ++v) {
           if (std::abs(permuted_scores(perm[v], 0) - scores(v, 0)) > 1e-9) {
             return false;
@@ -286,9 +278,9 @@ TEST_F(MetamorphicTest, PgExplainerEdgeScoresArePermutationEquivariant) {
 // trained model, or ReLU-collapsed embeddings on a random one), the
 // index tie-break picks permutation-dependent victims. So each case first
 // scans every stage's score vector — reconstructed through the same
-// keep_only masking the interpreter applies — and only tie-free cases are
-// held to strict equivariance; a counter asserts the guard doesn't make
-// the property vacuous.
+// masking the interpreter applies (masked_subgraph) — and only tie-free
+// cases are held to strict equivariance; a counter asserts the guard
+// doesn't make the property vacuous.
 TEST(MetamorphicOrdering, InterpretationIsPermutationEquivariantWithoutTies) {
   Rng init(913);
   GnnConfig gnn_config;
@@ -299,18 +291,14 @@ TEST(MetamorphicOrdering, InterpretationIsPermutationEquivariantWithoutTies) {
   model_config.num_classes = kFamilyCount;
   ExplainerModel theta(model_config, init);
   Interpreter interpreter(theta, gnn);
-  InterpretationConfig interpret_config;
-  interpret_config.keep_adjacency_snapshots = false;
 
   std::size_t checked = 0;
   std::size_t skipped_for_ties = 0;
   const auto stage_has_tie = [&](const Acfg& graph,
                                  const Interpretation& base) {
-    const Matrix adjacency = graph.dense_adjacency();
     for (const auto& kept : base.subgraph_nodes) {
-      const MaskedGraph masked = keep_only(adjacency, graph.features(), kept);
       const Matrix scores =
-          theta.score_nodes(gnn.embed(masked.adjacency, masked.features));
+          theta.score_nodes(gnn.embed(masked_subgraph(graph, kept)));
       for (std::size_t i = 0; i < kept.size(); ++i) {
         for (std::size_t j = i + 1; j < kept.size(); ++j) {
           if (std::abs(scores(kept[i], 0) - scores(kept[j], 0)) < 1e-9) {
@@ -331,14 +319,13 @@ TEST(MetamorphicOrdering, InterpretationIsPermutationEquivariantWithoutTies) {
         const auto perm = random_permutation(graph.num_nodes(), perm_rng);
         const Acfg permuted = permute_acfg(graph, perm);
 
-        const Interpretation base = interpreter.interpret(graph, interpret_config);
+        const Interpretation base = interpreter.interpret(graph);
         if (stage_has_tie(graph, base)) {
           ++skipped_for_ties;
           return true;  // tie-break order is legitimately index-dependent
         }
         ++checked;
-        const Interpretation image =
-            interpreter.interpret(permuted, interpret_config);
+        const Interpretation image = interpreter.interpret(permuted);
         if (base.ordered_nodes.size() != image.ordered_nodes.size()) {
           return false;
         }

@@ -18,7 +18,7 @@
 //  * MaskedNormalizedAdjacency(graph) is bit-identical to the dense
 //    constructor;
 //  * predict(masked_subgraph(G, kept)) is bit-identical to the dense
-//    keep_only + predict_masked pipeline;
+//    keep_only + dense-adjacency prediction pipeline (support/dense_oracle);
 //  * count_active_nodes(G) matches the dense count.
 #include <gtest/gtest.h>
 
@@ -33,6 +33,7 @@
 #include "graph/reduce.hpp"
 #include "proptest/generators.hpp"
 #include "proptest/proptest.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -207,7 +208,7 @@ TEST(SparsePathProperties, MaskedSubgraphPredictMatchesDenseMaskedPredict) {
   config.gcn_dims = {10, 8};
   const GnnClassifier gnn(config, init);
   CHECK_PROPERTY(
-      "predict(masked_subgraph(G, kept)) == predict_masked(keep_only(...))",
+      "predict(masked_subgraph(G, kept)) == dense predict(keep_only(...))",
       proptest::pairs(proptest::acfgs(20, 0.2),
                       proptest::integers(0, 1 << 20)),
       [&gnn](const std::pair<Acfg, std::int64_t>& c) {
@@ -217,10 +218,11 @@ TEST(SparsePathProperties, MaskedSubgraphPredictMatchesDenseMaskedPredict) {
         for (std::uint32_t v = 0; v < graph.num_nodes(); ++v) {
           if (rng.bernoulli(0.6)) kept.push_back(v);
         }
-        const MaskedGraph dense =
-            keep_only(graph.dense_adjacency(), graph.features(), kept);
+        const oracle::MaskedGraph dense =
+            oracle::keep_only(graph.dense_adjacency(), graph.features(), kept);
         const Prediction a = gnn.predict(masked_subgraph(graph, kept));
-        const Prediction b = gnn.predict_masked(dense.adjacency, dense.features);
+        const Prediction b =
+            oracle::predict(gnn, dense.adjacency, dense.features);
         return a.predicted_class == b.predicted_class &&
                a.probabilities.rows() == b.probabilities.rows() &&
                a.probabilities.cols() == b.probabilities.cols() &&

@@ -89,8 +89,8 @@ TEST_F(EngineTest, BatchedServingMatchesPerGraphInferenceAndExplanation) {
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     ExplanationResponse response = futures[i].get();
     ASSERT_TRUE(response.ok()) << to_string(response.status);
-    // Batched block-diagonal inference is BIT-identical to the per-graph
-    // dense path.
+    // Batched block-diagonal inference is BIT-identical to per-graph
+    // predict().
     const Prediction expected = gnn_.predict(graphs[i]);
     EXPECT_EQ(response.prediction.predicted_class, expected.predicted_class);
     EXPECT_EQ(response.prediction.probabilities, expected.probabilities);
@@ -188,6 +188,44 @@ TEST_F(EngineTest, StopDrainsQueuedRequestsWithEngineStopped) {
 
   // Submission after stop is a typed response too.
   EXPECT_EQ(engine.submit(graph).get().status, ResponseStatus::EngineStopped);
+}
+
+// Every batch size 1..max_batch on explain pools of 1..8 workers. A
+// request held at the gate keeps the dispatcher busy while the next `size`
+// requests queue up, so opening the gate releases them as one batch of
+// exactly `size`; explain_batch_outcomes then splits that batch over the
+// pool. Pool/batch pairs such as 4 workers x 5 graphs used to produce a
+// chunk starting past the batch end and crash or hang the engine.
+TEST_F(EngineTest, EveryBatchSizeServesOnEveryExplainPoolSize) {
+  constexpr std::size_t kMaxBatch = 8;
+  const Acfg graph = corpus_graph(3);
+  for (std::size_t workers = 1; workers <= 8; ++workers) {
+    auto gate = std::make_shared<std::atomic<bool>>(false);
+    ServeConfig config;
+    config.max_batch = kMaxBatch;
+    config.explain_workers = workers;
+    ExplanationEngine engine(
+        gnn_, [gate] { return std::make_unique<GatedExplainer>(gate); },
+        config);
+    for (std::size_t size = 1; size <= kMaxBatch; ++size) {
+      gate->store(false);
+      auto held = engine.submit(graph);
+      wait_for_empty_queue(engine);  // the dispatcher holds `held`
+      std::vector<std::future<ExplanationResponse>> batch;
+      for (std::size_t i = 0; i < size; ++i) {
+        batch.push_back(engine.submit(graph));
+      }
+      gate->store(true);
+      EXPECT_EQ(held.get().status, ResponseStatus::Ok);
+      for (auto& future : batch) {
+        const ExplanationResponse response = future.get();
+        ASSERT_TRUE(response.ok())
+            << "workers " << workers << " batch " << size << ": "
+            << to_string(response.status);
+        EXPECT_EQ(response.ranking.order.size(), graph.num_nodes());
+      }
+    }
+  }
 }
 
 TEST_F(EngineTest, ExplainerFailureIsPerRequestAndKeepsThePrediction) {

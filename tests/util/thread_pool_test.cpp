@@ -125,6 +125,44 @@ TEST(ThreadPoolTest, ParallelForCountBelowWorkerCount) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// chunk_range tiles [0, count) in order with near-equal chunks, so no
+// chunk starts past `count` (the old ceil-sized chunks did: count=5 over 4
+// chunks of 2 put the last one at [6, 5)).
+TEST(ThreadPoolTest, ChunkRangeTilesEveryCountInOrder) {
+  for (std::size_t chunks = 1; chunks <= 16; ++chunks) {
+    for (std::size_t count = 0; count <= 64; ++count) {
+      std::size_t next = 0;
+      for (std::size_t c = 0; c < chunks; ++c) {
+        const IndexRange range = chunk_range(count, chunks, c);
+        ASSERT_EQ(range.begin, next) << count << " over " << chunks;
+        ASSERT_LE(range.begin, range.end);
+        const std::size_t size = range.end - range.begin;
+        EXPECT_GE(size, count / chunks);
+        EXPECT_LE(size, count / chunks + 1);
+        next = range.end;
+      }
+      EXPECT_EQ(next, count) << count << " over " << chunks;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForVisitsEachIndexOnceForEveryPoolSize) {
+  for (std::size_t workers = 1; workers <= 16; ++workers) {
+    ThreadPool pool(workers);
+    for (std::size_t count = 0; count <= 64; ++count) {
+      std::vector<std::atomic<int>> hits(count);
+      pool.parallel_for(count, [&](std::size_t i) {
+        ASSERT_LT(i, count);
+        hits[i].fetch_add(1);
+      });
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "workers " << workers << " count " << count << " index " << i;
+      }
+    }
+  }
+}
+
 TEST(ThreadPoolTest, ManyTasksDrainOnDestruction) {
   std::atomic<int> done{0};
   {
