@@ -105,20 +105,23 @@ void ExplainerModel::conditioned_into(const Matrix& embeddings,
   }
 }
 
-Matrix ExplainerModel::score_nodes(const Matrix& embeddings) {
+Matrix ExplainerModel::score_nodes(const Matrix& embeddings) const {
   Matrix out;
   score_nodes_into(embeddings, out);
   return out;
 }
 
-void ExplainerModel::score_nodes_into(const Matrix& embeddings, Matrix& out) {
+void ExplainerModel::score_nodes_into(const Matrix& embeddings, Matrix& out,
+                                      const double* row_live) const {
   if (embeddings.cols() != config_.embedding_dim) {
     throw std::invalid_argument("ExplainerModel::score_nodes: embedding dim mismatch");
   }
-  Workspace::Lease scaled =
-      Workspace::local().acquire(embeddings.rows(), embeddings.cols());
-  conditioned_into(embeddings, scaled.get());
-  scorer_.forward_into(scaled.get(), out);
+  Workspace& workspace = Workspace::local();
+  Workspace::Lease x = workspace.acquire(embeddings.rows(), embeddings.cols());
+  Workspace::Lease scratch = workspace.acquire(0, 0);
+  conditioned_into(embeddings, x.get());
+  scorer_.infer(x.get(), scratch.get(), row_live);
+  out = x.get();  // [N, 1]; copy-assign reuses out's capacity
 }
 
 ExplainerModel ExplainerModel::clone() const {

@@ -46,16 +46,20 @@ class ExplainerModel {
 
   // --- Theta_s ---
 
-  // Node scores Psi [N, 1] from embeddings Z [N, f]. Reuses the training
-  // caches of Theta_s, so do not interleave with a pending
-  // joint_forward/joint_backward pair; clone() per thread for parallel use.
-  Matrix score_nodes(const Matrix& embeddings);
+  // Node scores Psi [N, 1] from embeddings Z [N, f]. Inference is const
+  // and cache-free (Module::infer), so any number of threads may score
+  // with one shared model, and scoring may interleave freely with a
+  // pending joint_forward/joint_backward pair.
+  Matrix score_nodes(const Matrix& embeddings) const;
 
-  // Destination-passing variant: the conditioned embeddings live in a
-  // Workspace scratch buffer and the scorer ping-pongs through the pool,
-  // so steady-state calls allocate nothing. `out` must not alias
-  // `embeddings`. Bit-identical to score_nodes().
-  void score_nodes_into(const Matrix& embeddings, Matrix& out);
+  // Destination-passing variant: intermediates live in Workspace scratch
+  // buffers, so steady-state calls allocate nothing. `out` must not alias
+  // `embeddings`. Only rows with row_live[r] != 0.0 are scored (all rows
+  // when row_live is nullptr; Algorithm 2 passes its unpruned nodes); the
+  // other rows of `out` carry no meaning. Scored rows are bit-identical to
+  // score_nodes() and to joint_forward().scores.
+  void score_nodes_into(const Matrix& embeddings, Matrix& out,
+                        const double* row_live = nullptr) const;
 
   // --- joint training pass ---
 
@@ -87,7 +91,8 @@ class ExplainerModel {
   void set_embedding_scale(double scale);
   double embedding_scale() const noexcept { return embedding_scale_; }
 
-  // Deep copy (used for per-thread instances in parallel evaluation).
+  // Deep copy through the checkpoint format (an independent model to train
+  // further; inference never needs one).
   ExplainerModel clone() const;
 
   // Checkpointing (config + weights).

@@ -1,6 +1,7 @@
 #include "core/interpreter.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -10,6 +11,35 @@
 #include "obs/trace.hpp"
 
 namespace cfgx {
+
+std::vector<std::uint32_t> select_victims(
+    std::span<const std::uint32_t> remaining, const Matrix& scores,
+    std::size_t n_step) {
+  if (n_step > remaining.size()) {
+    throw std::invalid_argument("select_victims: n_step exceeds remaining");
+  }
+  // Algorithm 2 takes the lowest score by a strict `score < min` from a +inf
+  // start: NaN compares false there, so it ranks with +inf, and equal keys
+  // (including -0.0 vs +0.0) keep index order — hence the NaN key and the
+  // stable sort.
+  struct Keyed {
+    double key;
+    std::uint32_t node;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(remaining.size());
+  for (const std::uint32_t node : remaining) {
+    const double score = scores(node, 0);
+    keyed.push_back(
+        {std::isnan(score) ? std::numeric_limits<double>::infinity() : score,
+         node});
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+  std::vector<std::uint32_t> victims(n_step);
+  for (std::size_t k = 0; k < n_step; ++k) victims[k] = keyed[k].node;
+  return victims;
+}
 
 Interpretation Interpreter::interpret(const Acfg& graph,
                                       const InterpretationConfig& config) const {
@@ -37,6 +67,11 @@ Interpretation Interpreter::interpret(const Acfg& graph,
 
   std::vector<std::uint32_t> removal_order;  // V_ordered before the reverse
   removal_order.reserve(n_real);
+
+  // Theta_s row liveness: 1.0 until the node is pruned. Not inv_sqrt: an
+  // unpruned node whose neighbours are all gone can have inv_sqrt == 0 and
+  // must still be scored.
+  std::vector<double> live(n_real, 1.0);
 
   static obs::Counter& iterations_metric =
       obs::MetricsRegistry::global().counter("alg2.iterations");
@@ -66,7 +101,7 @@ Interpretation Interpreter::interpret(const Acfg& graph,
     }
     {
       obs::TraceSpan score_span("alg2.score", "explain");
-      model_->score_nodes_into(embeddings.get(), scores.get());
+      model_->score_nodes_into(embeddings.get(), scores.get(), live.data());
     }
 
     // Number of nodes to prune this iteration. Fractional step sizes are
@@ -80,27 +115,23 @@ Interpretation Interpreter::interpret(const Acfg& graph,
         remaining.size() > target_remaining ? remaining.size() - target_remaining
                                             : 0;
 
-    // Lines 8-18: repeatedly remove the lowest-scoring surviving node.
+    // Lines 8-18: remove the n_step lowest-scoring surviving nodes.
     obs::TraceSpan prune_span("alg2.prune", "explain");
-    for (std::size_t k = 0; k < n_step; ++k) {
-      std::size_t min_pos = 0;
-      double min_score = std::numeric_limits<double>::infinity();
-      for (std::size_t pos = 0; pos < remaining.size(); ++pos) {
-        const double score = scores.get()(remaining[pos], 0);
-        if (score < min_score) {
-          min_score = score;
-          min_pos = pos;
-        }
-      }
-      const std::uint32_t victim = remaining[min_pos];
-      remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(min_pos));
+    for (const std::uint32_t victim :
+         select_victims(remaining, scores.get(), n_step)) {
       removal_order.push_back(victim);
+      live[victim] = 0.0;
       // Lines 17-18 (+ feature zeroing, DESIGN decision 3).
       masked.prune(victim);
       for (std::size_t c = 0; c < features.cols(); ++c) {
         features(victim, c) = 0.0;
       }
     }
+    // Compact in place: `remaining` stays in index order.
+    remaining.erase(
+        std::remove_if(remaining.begin(), remaining.end(),
+                       [&](std::uint32_t v) { return live[v] == 0.0; }),
+        remaining.end());
     {
       obs::ScopedDurationTimer renorm_timer(renorm_seconds);
       masked.refresh();

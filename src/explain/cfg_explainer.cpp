@@ -57,11 +57,9 @@ Interpretation CfgExplainer::interpret(const Acfg& graph) const {
   if (!fitted_) {
     throw std::logic_error("CfgExplainer::interpret: call fit() first");
   }
-  // Interpreter needs a mutable model (layer caches); interpretation does
-  // not change weights.
-  auto& self = const_cast<CfgExplainer&>(*this);
-  Interpreter interpreter(self.model_, *gnn_);
-  return interpreter.interpret(graph, interpret_config_);
+  // Scoring is const and cache-free, so concurrent interpret() calls share
+  // one model.
+  return Interpreter(model_, *gnn_).interpret(graph, interpret_config_);
 }
 
 }  // namespace cfgx

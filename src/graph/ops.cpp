@@ -433,13 +433,6 @@ Acfg masked_subgraph(const Acfg& graph,
   return out;
 }
 
-bool node_is_masked(const Matrix& adjacency, std::uint32_t node) {
-  for (std::size_t j = 0; j < adjacency.cols(); ++j) {
-    if (adjacency(node, j) != 0.0 || adjacency(j, node) != 0.0) return false;
-  }
-  return true;
-}
-
 std::vector<std::uint32_t> top_k_nodes(const std::vector<double>& scores,
                                        std::size_t k) {
   if (k > scores.size()) throw std::invalid_argument("top_k_nodes: k > node count");

@@ -140,9 +140,6 @@ std::size_t count_active_nodes(const Acfg& graph);
 // evaluation of subgraphs. O(N·F + E); throws on an out-of-range kept id.
 Acfg masked_subgraph(const Acfg& graph, const std::vector<std::uint32_t>& kept);
 
-// True when row `node` and column `node` of `adjacency` are entirely zero.
-bool node_is_masked(const Matrix& adjacency, std::uint32_t node);
-
 // Given node scores (higher = more important) over `num_nodes` real nodes,
 // returns the indices of the `k` top-scoring nodes (ties broken by lower
 // index for determinism).

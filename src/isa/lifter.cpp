@@ -92,15 +92,23 @@ LiftedCfg lift_program(const Program& program) {
   }
 
   // --- 3. edge construction ---
+  // Every edge a block adds has src == block.id, so a duplicate can only be
+  // among the (at most two) edges appended since the block began: checking
+  // that tail keeps construction O(E) with the same output and order as a
+  // dedup over every edge built so far.
   std::vector<CfgEdge> edges;
+  std::size_t block_edges_begin = 0;
   const auto add_edge = [&](std::uint32_t src, std::uint32_t dst, EdgeKind kind) {
     const CfgEdge edge{src, dst, kind};
-    if (std::find(edges.begin(), edges.end(), edge) == edges.end()) {
+    const auto block_edges =
+        edges.begin() + static_cast<std::ptrdiff_t>(block_edges_begin);
+    if (std::find(block_edges, edges.end(), edge) == edges.end()) {
       edges.push_back(edge);
     }
   };
 
   for (const BasicBlock& block : blocks) {
+    block_edges_begin = edges.size();
     const Instruction& final_instr = instrs[block.last - 1];
     const bool has_next = block.last < instrs.size();
     const std::uint32_t next_block = has_next ? owner[block.last] : 0;

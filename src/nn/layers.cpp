@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "nn/workspace.hpp"
+#include <span>
+#include <utility>
 
 namespace cfgx {
 namespace {
@@ -14,6 +14,31 @@ inline double sigmoid_value(double x) {
   // Numerically stable in both tails.
   return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
                   : std::exp(x) / (1.0 + std::exp(x));
+}
+
+// Applies fn to every row r of m with row_live[r] != 0.0 (every row when
+// row_live is nullptr).
+template <typename Fn>
+void for_each_live_row(Matrix& m, const double* row_live, Fn fn) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    if (row_live == nullptr || row_live[r] != 0.0) fn(m.row(r));
+  }
+}
+
+void add_bias(Matrix& m, const Matrix& bias, const double* row_live) {
+  for_each_live_row(m, row_live, [&](std::span<double> row) {
+    for (std::size_t c = 0; c < row.size(); ++c) row[c] += bias(0, c);
+  });
+}
+
+void softmax_row(std::span<double> row) {
+  const double m = *std::max_element(row.begin(), row.end());
+  double denom = 0.0;
+  for (double& v : row) {
+    v = std::exp(v - m);
+    denom += v;
+  }
+  for (double& v : row) v /= denom;
 }
 
 }  // namespace
@@ -33,17 +58,17 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
       bias_(name + ".b", Matrix(1, out_features)) {}
 
 Matrix Dense::forward(const Matrix& input) {
+  cached_input_ = input;  // copy-assign reuses the cache's capacity
   Matrix out;
-  forward_into(input, out);
+  matmul_into(input, weight_.value, out);
+  add_bias(out, bias_.value, nullptr);
   return out;
 }
 
-void Dense::forward_into(const Matrix& input, Matrix& out) {
-  cached_input_ = input;  // copy-assign reuses the cache's capacity
-  matmul_into(input, weight_.value, out);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += bias_.value(0, c);
-  }
+void Dense::infer(Matrix& x, Matrix& scratch, const double* row_live) const {
+  matmul_live_rows_into(x, weight_.value, scratch, row_live);
+  add_bias(scratch, bias_.value, row_live);
+  std::swap(x, scratch);
 }
 
 Matrix Dense::backward(const Matrix& grad_output) {
@@ -60,10 +85,11 @@ Matrix Relu::forward(const Matrix& input) {
   return out;
 }
 
-void Relu::forward_into(const Matrix& input, Matrix& out) {
-  cached_input_ = input;
-  out = input;
-  out.apply(relu_value);
+void Relu::infer(Matrix& x, Matrix& /*scratch*/,
+                 const double* row_live) const {
+  for_each_live_row(x, row_live, [](std::span<double> row) {
+    for (double& v : row) v = relu_value(v);
+  });
 }
 
 Matrix Relu::backward(const Matrix& grad_output) {
@@ -81,10 +107,11 @@ Matrix Sigmoid::forward(const Matrix& input) {
   return out;
 }
 
-void Sigmoid::forward_into(const Matrix& input, Matrix& out) {
-  out = input;
-  out.apply(sigmoid_value);
-  cached_output_ = out;
+void Sigmoid::infer(Matrix& x, Matrix& /*scratch*/,
+                    const double* row_live) const {
+  for_each_live_row(x, row_live, [](std::span<double> row) {
+    for (double& v : row) v = sigmoid_value(v);
+  });
 }
 
 Matrix Sigmoid::backward(const Matrix& grad_output) {
@@ -98,18 +125,14 @@ Matrix Sigmoid::backward(const Matrix& grad_output) {
 
 Matrix SoftmaxRows::forward(const Matrix& input) {
   Matrix out = input;
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    auto row = out.row(r);
-    const double m = *std::max_element(row.begin(), row.end());
-    double denom = 0.0;
-    for (double& v : row) {
-      v = std::exp(v - m);
-      denom += v;
-    }
-    for (double& v : row) v /= denom;
-  }
+  for_each_live_row(out, nullptr, softmax_row);
   cached_output_ = out;
   return out;
+}
+
+void SoftmaxRows::infer(Matrix& x, Matrix& /*scratch*/,
+                        const double* row_live) const {
+  for_each_live_row(x, row_live, softmax_row);
 }
 
 Matrix SoftmaxRows::backward(const Matrix& grad_output) {
@@ -133,29 +156,9 @@ Matrix Sequential::forward(const Matrix& input) {
   return current;
 }
 
-void Sequential::forward_into(const Matrix& input, Matrix& out) {
-  if (modules_.empty()) {
-    out = input;
-    return;
-  }
-  if (modules_.size() == 1) {
-    modules_.front()->forward_into(input, out);
-    return;
-  }
-  // Ping-pong between two workspace buffers; the last module writes
-  // straight into `out`, so no final copy is needed.
-  Workspace& workspace = Workspace::local();
-  Workspace::Lease ping = workspace.acquire(0, 0);
-  Workspace::Lease pong = workspace.acquire(0, 0);
-  const Matrix* current = &input;
-  Matrix* scratch = &ping.get();
-  Matrix* other = &pong.get();
-  for (std::size_t i = 0; i < modules_.size(); ++i) {
-    Matrix& dst = (i + 1 == modules_.size()) ? out : *scratch;
-    modules_[i]->forward_into(*current, dst);
-    current = &dst;
-    std::swap(scratch, other);
-  }
+void Sequential::infer(Matrix& x, Matrix& scratch,
+                       const double* row_live) const {
+  for (const auto& module : modules_) module->infer(x, scratch, row_live);
 }
 
 Matrix Sequential::backward(const Matrix& grad_output) {

@@ -1,10 +1,14 @@
 // Neural-network layer modules with hand-derived backpropagation.
 //
-// Every module maps a [batch, in] matrix to a [batch, out] matrix. forward()
-// caches whatever backward() needs; backward() consumes dLoss/dOutput and
-// returns dLoss/dInput, accumulating dLoss/dParameter into Parameter::grad.
-// Gradients are *accumulated* (+=) so shared modules can be driven several
-// times per step; call zero_grad() between optimizer steps.
+// Every module maps a [batch, in] matrix to a [batch, out] matrix. Two
+// paths run through it:
+//   * training: forward() caches whatever backward() needs; backward()
+//     consumes dLoss/dOutput and returns dLoss/dInput, accumulating
+//     dLoss/dParameter into Parameter::grad. Gradients are *accumulated*
+//     (+=) so shared modules can be driven several times per step; call
+//     zero_grad() between optimizer steps.
+//   * inference: infer() is const and touches no cache, so one model can
+//     serve any number of threads at once without a per-thread copy.
 //
 // The exact gradients here are verified against central finite differences
 // in tests/nn/gradcheck_test.cpp.
@@ -41,14 +45,14 @@ class Module {
   virtual Matrix forward(const Matrix& input) = 0;
   virtual Matrix backward(const Matrix& grad_output) = 0;
 
-  // Destination-passing forward: reshapes `out` (capacity-reusing) and
-  // overwrites it. `out` must not alias `input`. The default delegates to
-  // forward(); hot modules (Dense, Relu, Sigmoid, Sequential) override it
-  // with allocation-free implementations backed by the Workspace pool.
-  // Results are bit-identical to forward() in every override.
-  virtual void forward_into(const Matrix& input, Matrix& out) {
-    out = forward(input);
-  }
+  // Cache-free inference: replaces `x` with this module's output. Only rows
+  // with row_live[r] != 0.0 are computed (every row when row_live is
+  // nullptr); the values left in other rows carry no meaning. Elementwise
+  // modules work in place; Dense writes its GEMM into `scratch` (reshaped,
+  // capacity-reusing) and swaps it with `x`, so steady-state calls
+  // allocate nothing. Computed rows are bit-identical to forward().
+  virtual void infer(Matrix& x, Matrix& scratch,
+                     const double* row_live) const = 0;
 
   // Trainable parameters (may be empty for activations).
   virtual std::vector<Parameter*> parameters() { return {}; }
@@ -66,8 +70,8 @@ class Dense : public Module {
         std::string name = "dense");
 
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) override;
   Matrix backward(const Matrix& grad_output) override;
+  void infer(Matrix& x, Matrix& scratch, const double* row_live) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
 
   std::size_t in_features() const { return weight_.value.rows(); }
@@ -86,8 +90,8 @@ class Dense : public Module {
 class Relu : public Module {
  public:
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) override;
   Matrix backward(const Matrix& grad_output) override;
+  void infer(Matrix& x, Matrix& scratch, const double* row_live) const override;
 
  private:
   Matrix cached_input_;
@@ -97,8 +101,8 @@ class Relu : public Module {
 class Sigmoid : public Module {
  public:
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) override;
   Matrix backward(const Matrix& grad_output) override;
+  void infer(Matrix& x, Matrix& scratch, const double* row_live) const override;
 
  private:
   Matrix cached_output_;
@@ -110,6 +114,7 @@ class SoftmaxRows : public Module {
  public:
   Matrix forward(const Matrix& input) override;
   Matrix backward(const Matrix& grad_output) override;
+  void infer(Matrix& x, Matrix& scratch, const double* row_live) const override;
 
  private:
   Matrix cached_output_;
@@ -132,10 +137,9 @@ class Sequential : public Module {
   }
 
   Matrix forward(const Matrix& input) override;
-  // Ping-pongs intermediates through Workspace scratch buffers, so a
-  // steady-state forward pass allocates nothing.
-  void forward_into(const Matrix& input, Matrix& out) override;
   Matrix backward(const Matrix& grad_output) override;
+  // Runs every module's infer() in order over the same two buffers.
+  void infer(Matrix& x, Matrix& scratch, const double* row_live) const override;
   std::vector<Parameter*> parameters() override;
 
   std::size_t module_count() const { return modules_.size(); }

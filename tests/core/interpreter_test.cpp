@@ -9,6 +9,8 @@
 
 #include "dataset/generator.hpp"
 #include "graph/ops.hpp"
+#include "support/dense_oracle.hpp"
+#include "support/selection_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -107,7 +109,7 @@ TEST_F(InterpreterTest, AdjacencySnapshotsMatchNodeSets) {
                                  result.subgraph_nodes[k].end());
     for (std::uint32_t v = 0; v < graph_.num_nodes(); ++v) {
       if (!kept.count(v)) {
-        EXPECT_TRUE(node_is_masked(a, v))
+        EXPECT_TRUE(oracle::node_is_masked(a, v))
             << "level " << k << " node " << v << " should be masked";
         continue;
       }
@@ -173,6 +175,42 @@ TEST_F(InterpreterTest, NanScoredNodeIsNeverSelectedWhileFiniteScoresRemain) {
     EXPECT_EQ(rest, interpreter.interpret(base, config).ordered_nodes)
         << "step " << step;
   }
+}
+
+// Theta_s liveness means "not yet pruned", not the GCN's activity mask: a
+// node with no edges and an all-zero feature row has inv_sqrt == 0 from the
+// start (its embedding is zero), yet it is a candidate victim and must be
+// scored like any other. At step 100 the whole ranking comes from one
+// scoring pass, so it must equal the min-scan over score_nodes(embed(G)).
+TEST_F(InterpreterTest, InactiveUnprunedNodeIsStillScored) {
+  const std::uint32_t inactive = graph_.num_nodes();
+  Acfg graph(inactive + 1, graph_.feature_count());
+  graph.set_edges(graph_.edges());
+  for (std::uint32_t v = 0; v < inactive; ++v) {
+    for (std::size_t c = 0; c < graph_.feature_count(); ++c) {
+      graph.features()(v, c) = graph_.features()(v, c);
+    }
+  }
+  const Matrix scores = model_.score_nodes(gnn_.embed(graph));
+  // The inactive node's score (sigmoid > 0) is not the strict minimum, so
+  // leaving its row unscored (exact 0.0) would move it to the front of the
+  // removal order.
+  bool beaten = false;
+  for (std::uint32_t v = 0; v < inactive; ++v) {
+    beaten = beaten || scores(v, 0) <= scores(inactive, 0);
+  }
+  ASSERT_TRUE(beaten);
+
+  std::vector<std::uint32_t> remaining(graph.num_nodes());
+  for (std::uint32_t v = 0; v < graph.num_nodes(); ++v) remaining[v] = v;
+  std::vector<std::uint32_t> expected =
+      oracle::min_scan_select_victims(remaining, scores, graph.num_nodes());
+  std::reverse(expected.begin(), expected.end());
+
+  InterpretationConfig config;
+  config.step_size_percent = 100;
+  EXPECT_EQ(Interpreter(model_, gnn_).interpret(graph, config).ordered_nodes,
+            expected);
 }
 
 TEST_F(InterpreterTest, StepSizeValidation) {

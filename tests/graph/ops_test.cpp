@@ -130,9 +130,9 @@ TEST(MaskNodeTest, OutOfRangeThrows) {
 TEST(NodeIsMaskedTest, DetectsMaskedNodes) {
   Matrix a = triangle_adjacency();
   Matrix x(3, 1);
-  EXPECT_FALSE(node_is_masked(a, 0));
+  EXPECT_FALSE(oracle::node_is_masked(a, 0));
   oracle::mask_node(a, x, 0);
-  EXPECT_TRUE(node_is_masked(a, 0));
+  EXPECT_TRUE(oracle::node_is_masked(a, 0));
 }
 
 // keep_only's masking contract, served in production by masked_subgraph.
@@ -142,7 +142,7 @@ TEST(KeepOnlyTest, PreservesShapeMasksComplement) {
   const Acfg masked = masked_subgraph(graph, {0, 1});
   const Matrix adjacency = masked.dense_adjacency();
   EXPECT_EQ(masked.num_nodes(), 3u);
-  EXPECT_TRUE(node_is_masked(adjacency, 2));
+  EXPECT_TRUE(oracle::node_is_masked(adjacency, 2));
   EXPECT_DOUBLE_EQ(adjacency(0, 1), 1.0);  // kept edge
   EXPECT_DOUBLE_EQ(adjacency(1, 2), 0.0);  // edge into masked node
   EXPECT_DOUBLE_EQ(masked.features()(2, 0), 0.0);

@@ -14,6 +14,7 @@
 #include "isa/lifter.hpp"
 #include "proptest/fuzz.hpp"
 #include "proptest/proptest.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -76,7 +77,7 @@ TEST_P(InterpretationInvariants, MaskedEvaluationMatchesKeptSets) {
   const std::set<std::uint32_t> kept_set(kept.begin(), kept.end());
   for (std::uint32_t v = 0; v < graph_.num_nodes(); ++v) {
     if (!kept_set.count(v)) {
-      EXPECT_TRUE(node_is_masked(adjacency, v));
+      EXPECT_TRUE(oracle::node_is_masked(adjacency, v));
       for (std::size_t c = 0; c < masked.feature_count(); ++c) {
         EXPECT_DOUBLE_EQ(masked.features()(v, c), 0.0);
       }

@@ -9,7 +9,9 @@
 #include <cstring>
 #include <functional>
 #include <utility>
+#include <vector>
 
+#include "core/explainer_model.hpp"
 #include "nn/layers.hpp"
 #include "nn/matrix.hpp"
 #include "nn/sparse.hpp"
@@ -402,13 +404,14 @@ TEST(IntoKernels, MatmulIntoThrowsOnShapeMismatch) {
   EXPECT_THROW(matmul_into(a, b, out), std::invalid_argument);
 }
 
-TEST(ModuleForwardInto, MatchesForwardForEveryHotModule) {
+TEST(ModuleInfer, MatchesForwardForEveryHotModule) {
   Rng rng(7);
   Sequential net;
   net.emplace<Dense>(5, 8, rng);
   net.emplace<Relu>();
   net.emplace<Dense>(8, 3, rng);
   net.emplace<Sigmoid>();
+  net.emplace<SoftmaxRows>();
 
   Matrix input(4, 5);
   Rng data_rng(11);
@@ -417,19 +420,68 @@ TEST(ModuleForwardInto, MatchesForwardForEveryHotModule) {
   }
 
   const Matrix expected = net.forward(input);
-  Matrix out;
-  net.forward_into(input, out);
-  EXPECT_TRUE(bit_identical(out, expected));
+  Matrix x = input;
+  Matrix scratch;
+  net.infer(x, scratch, nullptr);
+  EXPECT_TRUE(bit_identical(x, expected));
 
-  // Single-module and empty Sequentials take the no-ping-pong short cuts.
+  // Row-masked inference computes exactly the live rows.
+  const std::vector<double> live = {1.0, 0.0, 1.0, 0.0};
+  x = input;
+  net.infer(x, scratch, live.data());
+  ASSERT_TRUE(x.same_shape(expected));
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    if (live[r] == 0.0) continue;
+    EXPECT_EQ(std::memcmp(x.row(r).data(), expected.row(r).data(),
+                          x.cols() * sizeof(double)),
+              0);
+  }
+
+  // Single-module and empty Sequentials.
   Sequential solo;
   solo.emplace<Relu>();
-  solo.forward_into(input, out);
-  EXPECT_TRUE(bit_identical(out, solo.forward(input)));
+  x = input;
+  solo.infer(x, scratch, nullptr);
+  EXPECT_TRUE(bit_identical(x, solo.forward(input)));
 
   Sequential none;
-  none.forward_into(input, out);
-  EXPECT_TRUE(bit_identical(out, input));
+  x = input;
+  none.infer(x, scratch, nullptr);
+  EXPECT_TRUE(bit_identical(x, input));
+}
+
+// Steady-state inference through the const scorer entry point takes every
+// buffer from the pool: after one warm-up call, repeated scoring (full and
+// row-masked) allocates no workspace bytes.
+TEST(ModuleInfer, SteadyStateScoringIsAllocationFree) {
+  const bool saved = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  auto& allocated =
+      obs::MetricsRegistry::global().counter("workspace.bytes_allocated");
+
+  Rng rng(5);
+  const ExplainerModel model(ExplainerModelConfig{}, rng);
+  Matrix embeddings(300, model.config().embedding_dim);
+  for (std::size_t i = 0; i < embeddings.size(); ++i) {
+    embeddings.data()[i] = rng.uniform(-1.0, 1.0);
+  }
+  std::vector<double> live(embeddings.rows(), 1.0);
+  for (std::size_t r = 0; r < live.size(); r += 3) live[r] = 0.0;
+
+  Matrix out;
+  model.score_nodes_into(embeddings, out);
+  model.score_nodes_into(embeddings, out, live.data());
+  const std::uint64_t allocated_before = allocated.value();
+  for (int round = 0; round < 8; ++round) {
+    model.score_nodes_into(embeddings, out);
+    model.score_nodes_into(embeddings, out, live.data());
+  }
+  EXPECT_EQ(allocated.value(), allocated_before)
+      << "steady-state scoring must not touch the heap";
+  EXPECT_EQ(out.rows(), embeddings.rows());
+  EXPECT_EQ(out.cols(), 1u);
+
+  obs::set_metrics_enabled(saved);
 }
 
 }  // namespace

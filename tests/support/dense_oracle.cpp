@@ -21,6 +21,13 @@ void mask_node(Matrix& adjacency, Matrix& features, std::uint32_t node) {
   for (std::size_t c = 0; c < features.cols(); ++c) features(node, c) = 0.0;
 }
 
+bool node_is_masked(const Matrix& adjacency, std::uint32_t node) {
+  for (std::size_t j = 0; j < adjacency.cols(); ++j) {
+    if (adjacency(node, j) != 0.0 || adjacency(j, node) != 0.0) return false;
+  }
+  return true;
+}
+
 MaskedGraph keep_only(const Matrix& adjacency, const Matrix& features,
                       const std::vector<std::uint32_t>& kept) {
   MaskedGraph out{adjacency, features};

@@ -19,6 +19,9 @@ namespace cfgx::oracle {
 // Throws std::out_of_range / std::invalid_argument on bad shapes.
 void mask_node(Matrix& adjacency, Matrix& features, std::uint32_t node);
 
+// True when row `node` and column `node` of `adjacency` are entirely zero.
+bool node_is_masked(const Matrix& adjacency, std::uint32_t node);
+
 // A copy of (A, X) with every node NOT in `kept` masked out. Shapes are
 // preserved (masked, not compacted). Throws on an out-of-range kept id.
 struct MaskedGraph {
