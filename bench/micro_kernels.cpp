@@ -55,18 +55,40 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   return m;
 }
 
-// Adjacency at typical CFG edge density: a fallthrough chain plus sparse
+Acfg graph_of(std::uint32_t n, std::vector<Edge> edges) {
+  Acfg graph(n);
+  graph.set_edges(std::move(edges));
+  return graph;
+}
+
+// The fallthrough chain 0 -> 1 -> ... -> n-1.
+std::vector<Edge> chain_edges(std::uint32_t n) {
+  std::vector<Edge> edges;
+  for (std::uint32_t i = 0; i + 1 < n; ++i) {
+    edges.push_back({i, i + 1, EdgeKind::Flow});
+  }
+  return edges;
+}
+
+// Graph at typical CFG edge density: a fallthrough chain plus sparse
 // branch/call edges, ~2 out-edges per basic block regardless of n.
-Matrix cfg_adjacency(std::size_t n, Rng& rng) {
-  Matrix a(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = 1.0;
+Acfg cfg_graph(std::uint32_t n, Rng& rng) {
+  std::vector<Edge> edges = chain_edges(n);
   const double p = 1.0 / static_cast<double>(n);  // ~1 extra edge per node
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j && rng.bernoulli(p)) a(i, j) = 1.0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = 0; j < n; ++j) {
+      // One draw per ordered pair; a draw landing on a chain edge adds
+      // nothing new.
+      if (i != j && rng.bernoulli(p) && j != i + 1) {
+        edges.push_back({i, j, EdgeKind::Flow});
+      }
     }
   }
-  return a;
+  return graph_of(n, std::move(edges));
+}
+
+CsrMatrix a_hat_of(const Acfg& graph) {
+  return MaskedNormalizedAdjacency(graph).a_hat();
 }
 
 ThreadPool& kernel_pool() {
@@ -131,7 +153,7 @@ BENCHMARK(BM_MatmulInto)->Arg(64)->Arg(128)->Arg(256);
 void BM_AdjacencyMatmulDense(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const Matrix a_hat = normalized_adjacency(cfg_adjacency(n, rng));
+  const Matrix a_hat = a_hat_of(cfg_graph(n, rng)).to_dense();
   const Matrix h = random_matrix(n, 64, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(matmul(a_hat, h));
@@ -142,7 +164,7 @@ BENCHMARK(BM_AdjacencyMatmulDense)->Arg(64)->Arg(128)->Arg(256);
 void BM_AdjacencyMatmulDenseParallel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const Matrix a_hat = normalized_adjacency(cfg_adjacency(n, rng));
+  const Matrix a_hat = a_hat_of(cfg_graph(n, rng)).to_dense();
   const Matrix h = random_matrix(n, 64, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(matmul_parallel(a_hat, h, kernel_pool()));
@@ -153,8 +175,7 @@ BENCHMARK(BM_AdjacencyMatmulDenseParallel)->Arg(64)->Arg(128)->Arg(256);
 void BM_AdjacencySpmmCsr(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const CsrMatrix a_hat =
-      CsrMatrix::from_dense(normalized_adjacency(cfg_adjacency(n, rng)));
+  const CsrMatrix a_hat = a_hat_of(cfg_graph(n, rng));
   const Matrix h = random_matrix(n, 64, rng);
   state.counters["density"] = a_hat.density();
   for (auto _ : state) {
@@ -166,8 +187,7 @@ BENCHMARK(BM_AdjacencySpmmCsr)->Arg(64)->Arg(128)->Arg(256);
 void BM_AdjacencySpmmCsrParallel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const CsrMatrix a_hat =
-      CsrMatrix::from_dense(normalized_adjacency(cfg_adjacency(n, rng)));
+  const CsrMatrix a_hat = a_hat_of(cfg_graph(n, rng));
   const Matrix h = random_matrix(n, 64, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(spmm(a_hat, h, &kernel_pool()));
@@ -178,8 +198,7 @@ BENCHMARK(BM_AdjacencySpmmCsrParallel)->Arg(64)->Arg(128)->Arg(256);
 void BM_AdjacencySpmmCsrInto(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const CsrMatrix a_hat =
-      CsrMatrix::from_dense(normalized_adjacency(cfg_adjacency(n, rng)));
+  const CsrMatrix a_hat = a_hat_of(cfg_graph(n, rng));
   const Matrix h = random_matrix(n, 64, rng);
   Matrix out;
   for (auto _ : state) {
@@ -192,8 +211,7 @@ BENCHMARK(BM_AdjacencySpmmCsrInto)->Arg(64)->Arg(128)->Arg(256);
 void BM_AdjacencySpmmTransposeCsr(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const CsrMatrix a_hat =
-      CsrMatrix::from_dense(normalized_adjacency(cfg_adjacency(n, rng)));
+  const CsrMatrix a_hat = a_hat_of(cfg_graph(n, rng));
   const Matrix g = random_matrix(n, 64, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(spmm_transpose_a(a_hat, g));
@@ -204,34 +222,18 @@ BENCHMARK(BM_AdjacencySpmmTransposeCsr)->Arg(64)->Arg(128)->Arg(256);
 void BM_CsrFromDense(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const Matrix a_hat = normalized_adjacency(cfg_adjacency(n, rng));
+  const Matrix a_hat = a_hat_of(cfg_graph(n, rng)).to_dense();
   for (auto _ : state) {
     benchmark::DoNotOptimize(CsrMatrix::from_dense(a_hat));
   }
 }
 BENCHMARK(BM_CsrFromDense)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_GcnLayerForwardCsr(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  GcnLayer layer(12, 64, rng);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = 1.0;
-  const CsrMatrix a_hat = CsrMatrix::from_dense(normalized_adjacency(a));
-  const Matrix h = random_matrix(n, 12, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(layer.infer(a_hat, h));
-  }
-}
-BENCHMARK(BM_GcnLayerForwardCsr)->Arg(64)->Arg(128)->Arg(256);
-
 void BM_GcnLayerInferIntoCsr(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
   GcnLayer layer(12, 64, rng);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = 1.0;
-  const CsrMatrix a_hat = CsrMatrix::from_dense(normalized_adjacency(a));
+  const CsrMatrix a_hat = a_hat_of(graph_of(n, chain_edges(n)));
   const Matrix h = random_matrix(n, 12, rng);
   Matrix out;
   for (auto _ : state) {
@@ -241,17 +243,19 @@ void BM_GcnLayerInferIntoCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_GcnLayerInferIntoCsr)->Arg(64)->Arg(128)->Arg(256);
 
+// Edge-list normalization straight into the frozen CSR.
 void BM_NormalizedAdjacency(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j && rng.bernoulli(0.05)) a(i, j) = 1.0;
+  std::vector<Edge> edges;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = 0; j < n; ++j) {
+      if (i != j && rng.bernoulli(0.05)) edges.push_back({i, j, EdgeKind::Flow});
     }
   }
+  const Acfg graph = graph_of(n, std::move(edges));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(normalized_adjacency(a));
+    benchmark::DoNotOptimize(MaskedNormalizedAdjacency(graph));
   }
 }
 BENCHMARK(BM_NormalizedAdjacency)->Arg(64)->Arg(128)->Arg(256);
@@ -260,12 +264,10 @@ void BM_GcnLayerForward(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
   GcnLayer layer(12, 64, rng);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = 1.0;
-  const Matrix a_hat = normalized_adjacency(a);
+  const CsrMatrix a_hat = a_hat_of(graph_of(n, chain_edges(n)));
   const Matrix h = random_matrix(n, 12, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(layer.infer(a_hat, h));
+    benchmark::DoNotOptimize(layer.forward(a_hat, h));
   }
 }
 BENCHMARK(BM_GcnLayerForward)->Arg(64)->Arg(128)->Arg(256);
@@ -274,9 +276,7 @@ void BM_GcnLayerBackward(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
   GcnLayer layer(12, 64, rng);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = 1.0;
-  const Matrix a_hat = normalized_adjacency(a);
+  const CsrMatrix a_hat = a_hat_of(graph_of(n, chain_edges(n)));
   const Matrix h = random_matrix(n, 12, rng);
   const Matrix grad = random_matrix(n, 64, rng);
   layer.forward(a_hat, h);
@@ -442,11 +442,9 @@ int run_kernels_baseline(const std::string& out_path) {
     const Matrix a = random_matrix(n, n, rng);
     const Matrix b = random_matrix(n, 64, rng);
     Rng adj_rng(11);
-    const CsrMatrix a_hat = CsrMatrix::from_dense(
-        normalized_adjacency(cfg_adjacency(n, adj_rng)));
+    const CsrMatrix a_hat =
+        a_hat_of(cfg_graph(n, adj_rng));
     const Matrix h = random_matrix(n, 64, adj_rng);
-    Rng layer_rng(3);
-    GcnLayer layer(64, 64, layer_rng);
     Matrix out(n, 64);
 
     emit_case("matmul_naive_vs_blocked", n, iters,
@@ -469,12 +467,6 @@ int run_kernels_baseline(const std::string& out_path) {
               [&] { benchmark::DoNotOptimize(spmm(a_hat, h)); },
               [&] {
                 spmm_into(a_hat, h, out);
-                benchmark::DoNotOptimize(out.data());
-              });
-    emit_case("gcn_infer_alloc_vs_into", n, iters,
-              [&] { benchmark::DoNotOptimize(layer.infer(a_hat, h)); },
-              [&] {
-                layer.infer_into(a_hat, h, out);
                 benchmark::DoNotOptimize(out.data());
               });
 

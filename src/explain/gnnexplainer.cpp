@@ -34,7 +34,6 @@ GnnExplainer::GnnExplainer(const GnnClassifier& gnn, GnnExplainerConfig config)
 NodeRanking GnnExplainer::explain(const Acfg& graph) {
   const std::size_t num_edges = graph.num_edges();
   const std::size_t num_features = graph.feature_count();
-  const Matrix base_adjacency = graph.dense_adjacency();
   const Matrix& base_features = graph.features();
 
   // The class the mask must preserve: the GNN's own full-graph prediction.
@@ -78,12 +77,11 @@ NodeRanking GnnExplainer::explain(const Acfg& graph) {
   const auto& edges = graph.edges();
   obs::TraceSpan optimize_span("gnnexplainer.mask_optimize", "explain");
   for (std::size_t step = 0; step < config_.iterations; ++step) {
-    // Masked adjacency: A_e *= sigmoid(m_e).
-    Matrix masked = base_adjacency;
-    std::vector<double> gate(num_edges);
+    // Masked edge weights: w_e * sigmoid(m_e).
+    std::vector<double> gate(num_edges), weight(num_edges);
     for (std::size_t e = 0; e < num_edges; ++e) {
       gate[e] = stable_sigmoid(mask.value(0, e));
-      masked(edges[e].src, edges[e].dst) = edges[e].weight() * gate[e];
+      weight[e] = edges[e].weight() * gate[e];
     }
 
     // Masked features: X[:, f] *= sigmoid(fm_f) when enabled.
@@ -101,7 +99,7 @@ NodeRanking GnnExplainer::explain(const Acfg& graph) {
     }
 
     gnn_.zero_grad();
-    const Matrix logits = gnn_.forward_cached(masked, features);
+    const Matrix logits = gnn_.forward_cached(edges, features, &weight);
     const LossResult loss = softmax_cross_entropy(logits, {target_class});
     const auto backward =
         gnn_.backward_cached(loss.grad, /*want_adjacency_grad=*/true);
@@ -110,8 +108,8 @@ NodeRanking GnnExplainer::explain(const Acfg& graph) {
     for (std::size_t e = 0; e < num_edges; ++e) {
       const double g = gate[e];
       // Prediction term: dL/dA_uv * w_uv * sigma'(m).
-      double grad = backward.grad_adjacency(edges[e].src, edges[e].dst) *
-                    edges[e].weight() * g * (1.0 - g);
+      double grad =
+          backward.grad_adjacency[e] * edges[e].weight() * g * (1.0 - g);
       grad += regularizer_grad(g, config_.size_weight, config_.entropy_weight);
       mask.grad(0, e) = grad;
     }

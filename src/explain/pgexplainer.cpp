@@ -47,9 +47,8 @@ void PgExplainer::fit(const Corpus& corpus,
   Adam optimizer(predictor_.parameters(),
                  AdamConfig{.learning_rate = config_.learning_rate});
 
-  // Frozen-GNN precomputation: embeddings, adjacency, edge inputs, target.
+  // Frozen-GNN precomputation: embeddings, edge inputs, target.
   struct Prepared {
-    Matrix adjacency;
     Matrix edge_in;
     const Acfg* graph;
     std::size_t target;
@@ -60,7 +59,6 @@ void PgExplainer::fit(const Corpus& corpus,
     const Acfg& graph = corpus.graph(index);
     if (graph.num_edges() == 0) continue;
     Prepared p;
-    p.adjacency = graph.dense_adjacency();
     const Matrix z = gnn_.embed(graph);
     p.edge_in = edge_inputs(graph, z);
     p.graph = &graph;
@@ -86,19 +84,20 @@ void PgExplainer::fit(const Corpus& corpus,
       const Matrix omega = predictor_.forward(p.edge_in);  // [E, 1]
 
       // Concrete / Gumbel-sigmoid gates.
-      std::vector<double> gate(num_edges), dgate_domega(num_edges);
-      Matrix masked = p.adjacency;
+      std::vector<double> gate(num_edges), dgate_domega(num_edges),
+          weight(num_edges);
       for (std::size_t e = 0; e < num_edges; ++e) {
         const double u = rng_.uniform(1e-6, 1.0 - 1e-6);
         const double noise = std::log(u) - std::log(1.0 - u);
         const double pre = (omega(e, 0) + noise) / temperature;
         gate[e] = stable_sigmoid(pre);
         dgate_domega[e] = gate[e] * (1.0 - gate[e]) / temperature;
-        masked(edges[e].src, edges[e].dst) = edges[e].weight() * gate[e];
+        weight[e] = edges[e].weight() * gate[e];
       }
 
       gnn_.zero_grad();
-      const Matrix logits = gnn_.forward_cached(masked, p.graph->features());
+      const Matrix logits =
+          gnn_.forward_cached(edges, p.graph->features(), &weight);
       const LossResult loss = softmax_cross_entropy(logits, {p.target});
       epoch_loss += loss.value;
       const auto backward =
@@ -106,8 +105,8 @@ void PgExplainer::fit(const Corpus& corpus,
 
       Matrix grad_omega(num_edges, 1);
       for (std::size_t e = 0; e < num_edges; ++e) {
-        double grad = backward.grad_adjacency(edges[e].src, edges[e].dst) *
-                      edges[e].weight() * dgate_domega[e];
+        double grad = backward.grad_adjacency[e] * edges[e].weight() *
+                      dgate_domega[e];
         grad += config_.size_weight * dgate_domega[e];
         const double g = gate[e];
         const double eps = 1e-12;

@@ -124,9 +124,8 @@ Matrix GnnClassifier::pool(const Matrix& embeddings,
 Matrix GnnClassifier::embed(const Acfg& graph) const {
   // Activity (self-loop policy) is judged on the RAW features: a pruned or
   // padded node has an all-zero raw row; scaling happens afterwards. The
-  // edge-list normalization is bit-identical to the dense
-  // normalized_adjacency_csr(dense_adjacency(), features()) (see ops.hpp),
-  // and its CSR is reused by every layer.
+  // edge-list normalization (ops.hpp) is bit-identical to the dense
+  // reference, and its CSR is reused by every layer.
   const MaskedNormalizedAdjacency frozen(graph);
   Matrix out;
   embed_into(frozen.a_hat(), frozen.inv_sqrt_degree(), graph.features(), out);
@@ -201,16 +200,20 @@ Prediction GnnClassifier::predict(const Acfg& graph) const {
   return prediction;
 }
 
-Matrix GnnClassifier::forward_cached(const Matrix& adjacency,
-                                     const Matrix& raw_features) {
-  std::vector<double> inv_sqrt;
-  cached_a_hat_ = normalized_adjacency_csr(adjacency, inv_sqrt, &raw_features);
-  cached_norm_coeffs_ = Matrix::row_vector(inv_sqrt);
-  cached_num_nodes_ = adjacency.rows();
+Matrix GnnClassifier::forward_cached(const std::vector<Edge>& edges,
+                                     const Matrix& raw_features,
+                                     const std::vector<double>* edge_weights) {
+  // Activity (self-loop policy) is judged on the RAW features, as in embed.
+  const MaskedNormalizedAdjacency normalized(edges, raw_features,
+                                             edge_weights);
+  cached_a_hat_ = normalized.a_hat();
+  cached_inv_sqrt_ = normalized.inv_sqrt_degree();
+  cached_edges_ = edges;
+  cached_num_nodes_ = raw_features.rows();
   cached_active_.assign(cached_num_nodes_, 0);
   cached_active_count_ = 0;
   for (std::size_t i = 0; i < cached_num_nodes_; ++i) {
-    if (inv_sqrt[i] > 0.0) {
+    if (cached_inv_sqrt_[i] > 0.0) {
       cached_active_[i] = 1;
       ++cached_active_count_;
     }
@@ -259,12 +262,14 @@ GnnClassifier::BackwardResult GnnClassifier::backward_cached(
     }
   }
 
-  Matrix grad_a_hat;
-  if (want_adjacency_grad) {
-    grad_a_hat = Matrix(cached_num_nodes_, cached_num_nodes_);
-  }
+  // G_sd and G_ds per edge, accumulated from 0.0 over the layers in
+  // backward order.
+  std::vector<double> grad_a_hat;
+  if (want_adjacency_grad) grad_a_hat.assign(2 * cached_edges_.size(), 0.0);
   for (auto it = gcn_layers_.rbegin(); it != gcn_layers_.rend(); ++it) {
-    grad_h = it->backward(grad_h, want_adjacency_grad ? &grad_a_hat : nullptr);
+    grad_h = want_adjacency_grad
+                 ? it->backward(grad_h, &cached_edges_, &grad_a_hat)
+                 : it->backward(grad_h);
   }
 
   BackwardResult result;
@@ -273,13 +278,11 @@ GnnClassifier::BackwardResult GnnClassifier::backward_cached(
     // Chain through A_hat_ij = c_i c_j (A_ij + A_ji + I_ij) with the
     // normalization coefficients treated as constants:
     //   dL/dA_ij = c_i c_j (G_ij + G_ji).
-    result.grad_adjacency = Matrix(cached_num_nodes_, cached_num_nodes_);
-    for (std::size_t i = 0; i < cached_num_nodes_; ++i) {
-      for (std::size_t j = 0; j < cached_num_nodes_; ++j) {
-        const double c = cached_norm_coeffs_(0, i) * cached_norm_coeffs_(0, j);
-        result.grad_adjacency(i, j) =
-            c * (grad_a_hat(i, j) + grad_a_hat(j, i));
-      }
+    result.grad_adjacency.resize(cached_edges_.size());
+    for (std::size_t e = 0; e < cached_edges_.size(); ++e) {
+      const Edge& edge = cached_edges_[e];
+      const double c = cached_inv_sqrt_[edge.src] * cached_inv_sqrt_[edge.dst];
+      result.grad_adjacency[e] = c * (grad_a_hat[2 * e] + grad_a_hat[2 * e + 1]);
     }
   }
   return result;

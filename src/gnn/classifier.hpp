@@ -106,12 +106,25 @@ class GnnClassifier {
 
   // --- cached training / gradient path ---
 
-  // Forward with caches; input is the dense adjacency + raw features.
-  // Returns logits [1, num_classes].
-  Matrix forward_cached(const Matrix& adjacency, const Matrix& raw_features);
+  // Forward with caches over an edge list and RAW features (one row per
+  // node): the edges are normalized straight into a CSR exactly as
+  // embed() does (MaskedNormalizedAdjacency), never densified. With
+  // `edge_weights` (one non-negative weight per edge) edge e weighs
+  // (*edge_weights)[e] instead of Edge::weight(), the last edge of a
+  // repeated (src, dst) pair setting the pair's weight — the explainers'
+  // gated masks. Returns logits [1, num_classes].
+  Matrix forward_cached(const std::vector<Edge>& edges,
+                        const Matrix& raw_features,
+                        const std::vector<double>* edge_weights = nullptr);
 
   struct BackwardResult {
-    Matrix grad_adjacency;  // dLoss/dA (raw adjacency), degree held constant
+    // dLoss/dA_sd per edge e = (s, d) of the forward_cached edge list,
+    // degrees held constant (DESIGN.md decisions 4 and 18): with the
+    // normalization coefficients c = d^{-1/2} and G = dLoss/dA_hat,
+    //   grad_adjacency[e] = c_s c_d (G_sd + G_ds).
+    // Edges of one repeated pair read the same value. Empty unless
+    // backward_cached was asked for it.
+    std::vector<double> grad_adjacency;
     // dLoss/dX_scaled: gradient w.r.t. the (scaler-transformed) input
     // features — always produced (it falls out of the layer chain). Chain
     // through the scaler via dX_raw = dX_scaled / stddev when needed.
@@ -119,9 +132,7 @@ class GnnClassifier {
   };
 
   // Backward from dLoss/dLogits. Accumulates parameter gradients; when
-  // want_adjacency_grad is set, also returns dLoss/dA where the
-  // normalization coefficients are treated as constants (DESIGN.md
-  // decision 4).
+  // want_adjacency_grad is set, also returns the per-edge dLoss/dA above.
   BackwardResult backward_cached(const Matrix& grad_logits,
                                  bool want_adjacency_grad = false);
 
@@ -160,7 +171,8 @@ class GnnClassifier {
   // Training caches. The adjacency is cached in CSR form: every backward
   // kernel that consumes it is sparse.
   CsrMatrix cached_a_hat_;
-  Matrix cached_norm_coeffs_;  // d_i^{-1/2} d_j^{-1/2} factors for dA chain
+  std::vector<double> cached_inv_sqrt_;  // c_i = d_i^{-1/2} for the dA chain
+  std::vector<Edge> cached_edges_;
   Matrix cached_embeddings_;
   std::vector<std::size_t> cached_selection_;  // SortPool permutation
   std::vector<char> cached_active_;

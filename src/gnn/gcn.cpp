@@ -12,11 +12,6 @@ void add_bias_rows_inplace(Matrix& m, const Matrix& bias) {
   }
 }
 
-Matrix add_bias_rows(Matrix m, const Matrix& bias) {
-  add_bias_rows_inplace(m, bias);
-  return m;
-}
-
 // Note: clamps strictly negative values only — keeps -0.0 and NaN as-is,
 // unlike std::max(0.0, x). The layer tests pin this behaviour.
 void relu_inplace(Matrix& m) {
@@ -36,18 +31,6 @@ GcnLayer::GcnLayer(std::size_t in_features, std::size_t out_features, Rng& rng,
                    std::string name)
     : weight_(name + ".W", glorot_uniform(in_features, out_features, rng)),
       bias_(name + ".b", Matrix(1, out_features)) {}
-
-Matrix GcnLayer::infer(const Matrix& a_hat, const Matrix& h) const {
-  return relu(add_bias_rows(matmul(a_hat, matmul(h, weight_.value)),
-                            bias_.value));
-}
-
-Matrix GcnLayer::infer(const CsrMatrix& a_hat, const Matrix& h,
-                       ThreadPool* pool) const {
-  Matrix out;
-  infer_into(a_hat, h, out, pool);
-  return out;
-}
 
 void GcnLayer::infer_into(const CsrMatrix& a_hat, const Matrix& h, Matrix& out,
                           ThreadPool* pool, const double* row_live) const {
@@ -69,32 +52,20 @@ void GcnLayer::infer_into(const CsrMatrix& a_hat, const Matrix& h, Matrix& out,
   }
 }
 
-Matrix GcnLayer::forward(const Matrix& a_hat, const Matrix& h) {
-  cached_a_hat_ = a_hat;
-  cached_a_csr_ = CsrMatrix();
-  cached_csr_path_ = false;
-  cached_pool_ = nullptr;
-  cached_h_ = h;
-  cached_hw_ = matmul(h, weight_.value);
-  cached_preactivation_ =
-      add_bias_rows(matmul(a_hat, cached_hw_), bias_.value);
-  return relu(cached_preactivation_);
-}
-
 Matrix GcnLayer::forward(const CsrMatrix& a_hat, const Matrix& h,
                          ThreadPool* pool) {
-  cached_a_hat_ = Matrix();
-  cached_a_csr_ = a_hat;
-  cached_csr_path_ = true;
+  cached_a_hat_ = a_hat;
   cached_pool_ = pool;
   cached_h_ = h;
   matmul_into(h, weight_.value, cached_hw_);
-  spmm_into(cached_a_csr_, cached_hw_, cached_preactivation_, pool);
+  spmm_into(cached_a_hat_, cached_hw_, cached_preactivation_, pool);
   add_bias_rows_inplace(cached_preactivation_, bias_.value);
   return relu(cached_preactivation_);
 }
 
-Matrix GcnLayer::backward(const Matrix& grad_output, Matrix* grad_a_hat) {
+Matrix GcnLayer::backward(const Matrix& grad_output,
+                          const std::vector<Edge>* edges,
+                          std::vector<double>* grad_edges) {
   // dP = dZ .* 1[P > 0]
   Matrix grad_pre = grad_output;
   for (std::size_t i = 0; i < grad_pre.size(); ++i) {
@@ -108,17 +79,25 @@ Matrix GcnLayer::backward(const Matrix& grad_output, Matrix* grad_a_hat) {
   // accumulation are computed into workspace scratch first.
   Workspace& workspace = Workspace::local();
   Workspace::Lease grad_hw = workspace.acquire(0, 0);
-  if (cached_csr_path_) {
-    spmm_transpose_a_into(cached_a_csr_, grad_pre, grad_hw.get(), cached_pool_);
-  } else {
-    matmul_transpose_a_into(cached_a_hat_, grad_pre, grad_hw.get());
-  }
+  spmm_transpose_a_into(cached_a_hat_, grad_pre, grad_hw.get(), cached_pool_);
   Workspace::Lease scratch = workspace.acquire(0, 0);
   matmul_transpose_a_into(cached_h_, grad_hw.get(), scratch.get());
   weight_.grad += scratch.get();
-  if (grad_a_hat != nullptr) {
-    matmul_transpose_b_into(grad_pre, cached_hw_, scratch.get());
-    *grad_a_hat += scratch.get();
+  if (edges != nullptr) {
+    // Only the dA entries an edge's weight feeds: 2 dot products per edge.
+    const std::size_t width = grad_pre.cols();
+    const auto dot = [&](std::uint32_t i, std::uint32_t j) {
+      const double* dp_row = grad_pre.data() + i * width;
+      const double* hw_row = cached_hw_.data() + j * width;
+      double acc = 0.0;
+      for (std::size_t k = 0; k < width; ++k) acc += dp_row[k] * hw_row[k];
+      return acc;
+    };
+    for (std::size_t e = 0; e < edges->size(); ++e) {
+      const Edge& edge = (*edges)[e];
+      (*grad_edges)[2 * e] += dot(edge.src, edge.dst);
+      (*grad_edges)[2 * e + 1] += dot(edge.dst, edge.src);
+    }
   }
   return matmul_transpose_b(grad_hw.get(), weight_.value);
 }

@@ -5,22 +5,22 @@
 // Forward: Z = ReLU(A_hat * H * W + b), with A_hat the normalized adjacency
 // from graph/ops.hpp.
 //
-// Two execution paths:
-//   * infer(...) const      — cache-free, safe to call concurrently
+// Two execution paths, both over A_hat in CSR form (CFG adjacencies are
+// >95% zeros; the dense N x N form exists only as the test oracle):
+//   * infer_into(...) const — cache-free, safe to call concurrently
 //   * forward(...)/backward — cached training path; backward can also
-//     return dLoss/dA_hat, which GNNExplainer and PGExplainer need to
-//     optimize edge masks through the GNN.
+//     return dLoss/dA_hat on the entries an edge list feeds, which
+//     GNNExplainer and PGExplainer need to optimize edge masks through the
+//     GNN.
 //
-// Each path accepts A_hat either dense (the reference implementation the
-// tests compare against) or in CSR form (the production fast path — CFG
-// adjacencies are >95% zeros). The CSR overloads take an optional
-// ThreadPool whose workers split the output rows; results are identical to
-// the dense path to the last bit for finite inputs.
+// Both take an optional ThreadPool whose workers split the output rows;
+// results are identical to the serial run to the last bit.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "graph/acfg.hpp"
 #include "nn/layers.hpp"
 #include "nn/matrix.hpp"
 #include "nn/sparse.hpp"
@@ -37,15 +37,10 @@ class GcnLayer {
   std::size_t in_features() const { return weight_.value.rows(); }
   std::size_t out_features() const { return weight_.value.cols(); }
 
-  // Cache-free inference (dense reference / CSR fast path).
-  Matrix infer(const Matrix& a_hat, const Matrix& h) const;
-  Matrix infer(const CsrMatrix& a_hat, const Matrix& h,
-               ThreadPool* pool = nullptr) const;
-
-  // Destination-passing inference: writes ReLU(A_hat H W + b) into `out`
+  // Cache-free inference: writes ReLU(A_hat H W + b) into `out`
   // (reshaped, capacity-reusing) with the H*W intermediate held in a
   // Workspace scratch buffer — zero allocations in steady state. `out`
-  // must not alias `h`. Bit-identical to the value-returning overloads.
+  // must not alias `h`. Bit-identical to forward().
   //
   // `row_live` (optional, length = rows) skips every row i with
   // row_live[i] == 0.0 — the row stays exactly zero instead of carrying
@@ -56,17 +51,22 @@ class GcnLayer {
                   ThreadPool* pool = nullptr,
                   const double* row_live = nullptr) const;
 
-  // Cached training forward. The CSR overload caches the sparse adjacency
-  // so backward() runs the sparse kernels too.
-  Matrix forward(const Matrix& a_hat, const Matrix& h);
+  // Cached training forward; caches the adjacency so backward() runs the
+  // sparse kernels too.
   Matrix forward(const CsrMatrix& a_hat, const Matrix& h,
                  ThreadPool* pool = nullptr);
 
   // Backward from dLoss/dZ. Accumulates dW, db; returns dLoss/dH.
-  // When grad_a_hat != nullptr, also accumulates dLoss/dA_hat into it
-  // (must be pre-sized [N, N]; always dense — the explainers optimize a
-  // dense edge-mask gradient).
-  Matrix backward(const Matrix& grad_output, Matrix* grad_a_hat = nullptr);
+  // When `edges` is given, also accumulates into `grad_edges` (caller-
+  // sized to 2 per edge) the two entries of dLoss/dA_hat = dP (HW)^T that
+  // edge e = (s, d) feeds, with dP = dLoss/d(preactivation):
+  //   grad_edges[2e]     += dP_s . HW_d
+  //   grad_edges[2e + 1] += dP_d . HW_s
+  // each dot product summed over ascending k from 0.0 — the values the
+  // full N x N product would hold, without ever forming it.
+  Matrix backward(const Matrix& grad_output,
+                  const std::vector<Edge>* edges = nullptr,
+                  std::vector<double>* grad_edges = nullptr);
 
   std::vector<Parameter*> parameters() { return {&weight_, &bias_}; }
   void zero_grad() {
@@ -77,11 +77,8 @@ class GcnLayer {
  private:
   Parameter weight_;
   Parameter bias_;
-  // Caches for backward. Exactly one of cached_a_hat_ / cached_a_csr_ is
-  // populated, per the overload forward() was called with.
-  Matrix cached_a_hat_;
-  CsrMatrix cached_a_csr_;
-  bool cached_csr_path_ = false;
+  // Caches for backward.
+  CsrMatrix cached_a_hat_;
   ThreadPool* cached_pool_ = nullptr;
   Matrix cached_h_;
   Matrix cached_hw_;             // H * W

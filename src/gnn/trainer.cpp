@@ -23,15 +23,10 @@ GnnTrainResult train_gnn(GnnClassifier& model, const Corpus& corpus,
   scaler.fit(corpus, train_indices);
   model.set_scaler(std::move(scaler));
 
-  // Pre-materialize dense adjacencies once (graphs are CPU-scale).
-  std::vector<Matrix> adjacencies;
-  adjacencies.reserve(train_indices.size());
   std::vector<std::size_t> labels;
   labels.reserve(train_indices.size());
   for (std::size_t index : train_indices) {
-    const Acfg& graph = corpus.graph(index);
-    adjacencies.push_back(graph.dense_adjacency());
-    labels.push_back(static_cast<std::size_t>(graph.label()));
+    labels.push_back(static_cast<std::size_t>(corpus.graph(index).label()));
   }
 
   Adam optimizer(model.parameters(), config.adam);
@@ -63,8 +58,9 @@ GnnTrainResult train_gnn(GnnClassifier& model, const Corpus& corpus,
       double batch_loss = 0.0;
       for (std::size_t k = start; k < end; ++k) {
         const std::size_t i = order[k];
-        const Matrix logits = model.forward_cached(
-            adjacencies[i], corpus.graph(train_indices[i]).features());
+        const Acfg& graph = corpus.graph(train_indices[i]);
+        const Matrix logits =
+            model.forward_cached(graph.edges(), graph.features());
         LossResult loss = softmax_cross_entropy(logits, {labels[i]});
         batch_loss += loss.value;
         // Scale so the batch gradient is the mean over batch members.

@@ -1,6 +1,6 @@
 // Training loop for the GNN classifier: mini-batch Adam over softmax
-// cross-entropy, with per-graph caching of dense adjacencies so the
-// quadratic normalization cost is paid once per graph, not once per epoch.
+// cross-entropy. Each step normalizes the graph's edge list straight into
+// a CSR (O(E log E)), so memory stays O(N + E) per graph at any size.
 #pragma once
 
 #include <cstdint>

@@ -7,162 +7,54 @@
 
 namespace cfgx {
 
-Matrix normalized_adjacency(const Matrix& adjacency, const Matrix* features) {
-  std::vector<double> unused;
-  return normalized_adjacency(adjacency, unused, features);
-}
+MaskedNormalizedAdjacency::MaskedNormalizedAdjacency(const Acfg& graph)
+    : MaskedNormalizedAdjacency(graph.edges(), graph.features()) {}
 
-Matrix normalized_adjacency(const Matrix& adjacency,
-                            std::vector<double>& inv_sqrt_degree_out,
-                            const Matrix* features) {
-  if (adjacency.rows() != adjacency.cols()) {
-    throw std::invalid_argument("normalized_adjacency: matrix must be square");
-  }
-  const std::size_t n = adjacency.rows();
-  if (features != nullptr && features->rows() != n) {
+MaskedNormalizedAdjacency::MaskedNormalizedAdjacency(
+    const std::vector<Edge>& edges, const Matrix& features,
+    const std::vector<double>* edge_weights) {
+  const std::size_t n = features.rows();
+  if (edge_weights != nullptr && edge_weights->size() != edges.size()) {
     throw std::invalid_argument(
-        "normalized_adjacency: feature/adjacency row mismatch");
+        "MaskedNormalizedAdjacency: one weight per edge required");
   }
 
-  // S = A + A^T; a node is active (and gets a self-loop) when it has an
-  // incident edge or a non-zero feature row.
-  Matrix s(n, n);
-  std::vector<char> active(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double v = adjacency(i, j) + adjacency(j, i);
-      s(i, j) = v;
-      if (v != 0.0) {
-        active[i] = 1;
-        active[j] = 1;
-      }
-    }
-  }
-  if (features != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (active[i]) continue;
-      for (std::size_t c = 0; c < features->cols(); ++c) {
-        if ((*features)(i, c) != 0.0) {
-          active[i] = 1;
-          break;
-        }
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (active[i]) s(i, i) += 1.0;
-  }
-
-  std::vector<double> inv_sqrt_degree(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double degree = 0.0;
-    for (std::size_t j = 0; j < n; ++j) degree += s(i, j);
-    if (degree > 0.0) inv_sqrt_degree[i] = 1.0 / std::sqrt(degree);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      s(i, j) *= inv_sqrt_degree[i] * inv_sqrt_degree[j];
-    }
-  }
-  inv_sqrt_degree_out = std::move(inv_sqrt_degree);
-  return s;
-}
-
-CsrMatrix normalized_adjacency_csr(const Matrix& adjacency,
-                                   const Matrix* features) {
-  std::vector<double> unused;
-  return normalized_adjacency_csr(adjacency, unused, features);
-}
-
-CsrMatrix normalized_adjacency_csr(const Matrix& adjacency,
-                                   std::vector<double>& inv_sqrt_degree,
-                                   const Matrix* features) {
-  return CsrMatrix::from_dense(
-      normalized_adjacency(adjacency, inv_sqrt_degree, features));
-}
-
-MaskedNormalizedAdjacency::MaskedNormalizedAdjacency(const Matrix& adjacency,
-                                                     const Matrix& features) {
-  if (adjacency.rows() != adjacency.cols()) {
-    throw std::invalid_argument(
-        "MaskedNormalizedAdjacency: matrix must be square");
-  }
-  const std::size_t n = adjacency.rows();
-  if (features.rows() != n) {
-    throw std::invalid_argument(
-        "MaskedNormalizedAdjacency: feature/adjacency row mismatch");
-  }
-
-  // Mirror the dense normalized_adjacency computation step for step so the
-  // initial values are bit-identical to the reference.
-  Matrix s(n, n);
-  active_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double v = adjacency(i, j) + adjacency(j, i);
-      s(i, j) = v;
-      if (v != 0.0) {
-        active_[i] = 1;
-        active_[j] = 1;
-      }
-    }
-  }
-  feature_active_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < features.cols(); ++c) {
-      if (features(i, c) != 0.0) {
-        feature_active_[i] = 1;
-        break;
-      }
-    }
-    if (feature_active_[i]) active_[i] = 1;
-  }
-
-  // Frozen structure: symmetrized non-zeros plus the full diagonal (the
-  // self-loop slot, even for currently-inactive nodes — activity only ever
-  // decreases, so no entry outside this set can become non-zero later).
-  std::vector<std::size_t> row_ptr(n + 1, 0);
-  std::vector<std::uint32_t> col_idx;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (s(i, j) != 0.0 || i == j) {
-        col_idx.push_back(static_cast<std::uint32_t>(j));
-        s_edge_.push_back(s(i, j));
-      }
-    }
-    row_ptr[i + 1] = col_idx.size();
-  }
-  init_from_structure(n, std::move(row_ptr), std::move(col_idx));
-}
-
-MaskedNormalizedAdjacency::MaskedNormalizedAdjacency(const Acfg& graph) {
-  const std::size_t n = graph.num_nodes();
-
-  // Dense-equivalent directed weights: per ordered pair, a Call edge
-  // dominates a coincident Flow edge (the max accumulation of
-  // Acfg::dense_adjacency).
+  // Dense-equivalent directed weights. The stable sort keeps a repeated
+  // (src, dst) pair in list order, so the merge can apply either rule:
+  // Call dominates Flow (max) for Edge::weight(), last edge wins for
+  // supplied weights — each the value a dense matrix would hold.
   struct Entry {
     std::uint32_t row, col;
     double weight;
   };
   std::vector<Entry> fwd;
-  fwd.reserve(graph.num_edges());
-  for (const Edge& e : graph.edges()) fwd.push_back({e.src, e.dst, e.weight()});
+  fwd.reserve(edges.size());
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const Edge& e = edges[k];
+    if (e.src >= n || e.dst >= n) {
+      throw std::invalid_argument(
+          "MaskedNormalizedAdjacency: edge endpoint out of range");
+    }
+    fwd.push_back({e.src, e.dst,
+                   edge_weights != nullptr ? (*edge_weights)[k] : e.weight()});
+  }
   const auto by_row_col = [](const Entry& a, const Entry& b) {
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   };
-  std::sort(fwd.begin(), fwd.end(), by_row_col);
+  std::stable_sort(fwd.begin(), fwd.end(), by_row_col);
   std::vector<Entry> merged;
   merged.reserve(fwd.size());
   for (const Entry& e : fwd) {
     if (!merged.empty() && merged.back().row == e.row &&
         merged.back().col == e.col) {
-      merged.back().weight = std::max(merged.back().weight, e.weight);
+      merged.back().weight = edge_weights != nullptr
+                                 ? e.weight
+                                 : std::max(merged.back().weight, e.weight);
     } else {
       merged.push_back(e);
     }
   }
+
   std::vector<Entry> rev;  // A^T entries, sorted by (row, col) of A^T
   rev.reserve(merged.size());
   for (const Entry& e : merged) rev.push_back({e.col, e.row, e.weight});
@@ -224,7 +116,6 @@ MaskedNormalizedAdjacency::MaskedNormalizedAdjacency(const Acfg& graph) {
   }
 
   feature_active_.assign(n, 0);
-  const Matrix& features = graph.features();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t c = 0; c < features.cols(); ++c) {
       if (features(i, c) != 0.0) {
@@ -234,12 +125,7 @@ MaskedNormalizedAdjacency::MaskedNormalizedAdjacency(const Acfg& graph) {
     }
     if (feature_active_[i]) active_[i] = 1;
   }
-  init_from_structure(n, std::move(row_ptr), std::move(col_idx));
-}
 
-void MaskedNormalizedAdjacency::init_from_structure(
-    std::size_t n, std::vector<std::size_t> row_ptr,
-    std::vector<std::uint32_t> col_idx) {
   // Degrees and d^{-1/2} over the structural entries in ascending column
   // order — the same partial sums as the dense full-row sum (skipped
   // entries are true zeros, all weights non-negative), with the self-loop
@@ -258,15 +144,11 @@ void MaskedNormalizedAdjacency::init_from_structure(
   }
 
   std::vector<double> values(col_idx.size(), 0.0);
-  diag_pos_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
       const std::uint32_t j = col_idx[p];
       double sv = s_edge_[p];
-      if (j == i) {
-        diag_pos_[i] = p;
-        if (active_[i]) sv += 1.0;
-      }
+      if (j == i && active_[i]) sv += 1.0;
       values[p] = sv * (inv_sqrt_[i] * inv_sqrt_[j]);
     }
   }
@@ -354,26 +236,6 @@ void MaskedNormalizedAdjacency::refresh() {
     is_dirty_[d] = 0;
   }
   dirty_.clear();
-}
-
-std::size_t count_active_nodes(const Matrix& adjacency, const Matrix& features) {
-  if (adjacency.rows() != adjacency.cols() ||
-      adjacency.rows() != features.rows()) {
-    throw std::invalid_argument("count_active_nodes: shape mismatch");
-  }
-  const std::size_t n = adjacency.rows();
-  std::size_t active = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    bool is_active = false;
-    for (std::size_t j = 0; j < n && !is_active; ++j) {
-      if (adjacency(i, j) != 0.0 || adjacency(j, i) != 0.0) is_active = true;
-    }
-    for (std::size_t c = 0; c < features.cols() && !is_active; ++c) {
-      if (features(i, c) != 0.0) is_active = true;
-    }
-    if (is_active) ++active;
-  }
-  return active;
 }
 
 std::size_t count_active_nodes(const Acfg& graph) {

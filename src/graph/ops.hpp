@@ -12,49 +12,37 @@
 
 namespace cfgx {
 
-// GCN propagation matrix: A_hat = D^{-1/2} (S + I) D^{-1/2} where
-// S = A + A^T symmetrizes the directed weighted adjacency (call edges keep
-// their weight 2) and D is the degree of (S + I).
+// GCN propagation matrix A_hat = D^{-1/2} (S + I) D^{-1/2}, normalized
+// straight from the edge list into a CSR, where S = A + A^T symmetrizes
+// the directed weighted adjacency (call edges keep their weight 2) and D
+// is the degree of (S + I). Every production consumer — inference,
+// Algorithm 2, GNN training and the gradient explainers — uses this one
+// representation; the dense N x N form survives only as the test oracle
+// (tests/support/dense_oracle.*), and the values here are bit-identical
+// to it.
 //
 // Self-loop policy ("pruned == padded", DESIGN.md decision 3): a node
-// receives its self-loop when it is *active* — it has an incident edge or,
-// when `features` is supplied, a non-zero feature row. A pruned or padded
-// node (zero adjacency row+column AND zero features) gets no self-loop and
-// contributes nothing; a surviving node whose neighbours were all pruned
-// keeps its self-loop, so its block features still reach the readout —
-// matching the paper's fixed-N padded GCN, where every real node carries a
-// self-loop even if the explainer disconnected it.
-Matrix normalized_adjacency(const Matrix& adjacency,
-                            const Matrix* features = nullptr);
-
-// As above, but also exports the per-node d^{-1/2} factors (zero for
-// inactive nodes). The classifier's adjacency-gradient chain needs them.
-Matrix normalized_adjacency(const Matrix& adjacency,
-                            std::vector<double>& inv_sqrt_degree,
-                            const Matrix* features = nullptr);
-
-// CSR form of the normalized adjacency, for the sparse GCN hot path. The
-// stored values are bit-identical to the dense normalized_adjacency (same
-// computation, structural zeros dropped), so spmm(csr, H) reproduces
-// matmul(a_hat, H) exactly.
-CsrMatrix normalized_adjacency_csr(const Matrix& adjacency,
-                                   const Matrix* features = nullptr);
-CsrMatrix normalized_adjacency_csr(const Matrix& adjacency,
-                                   std::vector<double>& inv_sqrt_degree,
-                                   const Matrix* features = nullptr);
-
-// Incrementally maskable normalized adjacency for the Algorithm-2 pruning
-// loop. Construction is O(N^2) once (it mirrors normalized_adjacency
-// exactly); each prune() + refresh() then costs O(edges incident to the
-// touched nodes) instead of re-densifying and re-normalizing the whole
-// matrix per iteration.
+// receives its self-loop when it is *active* — it has an incident edge of
+// non-zero weight or a non-zero feature row. A pruned or padded node (no
+// edges AND zero features) gets no self-loop and contributes nothing; a
+// surviving node whose neighbours were all pruned keeps its self-loop, so
+// its block features still reach the readout — matching the paper's
+// fixed-N padded GCN, where every real node carries a self-loop even if
+// the explainer disconnected it.
 //
-// The CSR structure is frozen at construction: the non-zeros of the
-// symmetrized adjacency plus the full diagonal (the self-loop slot).
+// The matrix is also incrementally maskable for the Algorithm-2 pruning
+// loop: each prune() + refresh() costs O(edges incident to the touched
+// nodes) instead of re-normalizing the whole graph per iteration.
+//
+// The CSR structure is frozen at construction: every (src, dst) pair of
+// the edge list in both orientations plus the full diagonal (the
+// self-loop slot).
 // Pruning zeroes *values* in place — structural entries holding 0.0
-// contribute nothing against finite operands, so spmm over this matrix is
-// bit-identical to spmm over the freshly-built CSR of the masked dense
-// graph (see the structural-zero discussion in nn/sparse.hpp).
+// contribute nothing against finite operands (an accumulator seeded at
+// +0.0 never holds -0.0, so adding a +/-0.0 product leaves it unchanged),
+// so spmm and spmm_transpose_a over this matrix are bit-identical to the
+// same kernels over the zero-free CSR of the dense reference (see the
+// structural-zero discussion in nn/sparse.hpp).
 //
 // Bit-identity with the dense reference is maintained by recomputation,
 // never by algebraic updates: degrees of touched nodes are RE-SUMMED over
@@ -66,18 +54,29 @@ CsrMatrix normalized_adjacency_csr(const Matrix& adjacency,
 // skipped in degree sums without disturbing signed-zero accumulation).
 class MaskedNormalizedAdjacency {
  public:
-  // `features` participates in the activity test (self-loop policy above),
-  // exactly as normalized_adjacency(adjacency, &features).
-  MaskedNormalizedAdjacency(const Matrix& adjacency, const Matrix& features);
-
-  // O(E log E) construction straight from the edge list, bit-identical to
-  // MaskedNormalizedAdjacency(graph.dense_adjacency(), graph.features()):
-  // symmetrized values use the dense operand order A(i,j) + A(j,i) (with
-  // the same call-dominates-flow max rule), and degree sums walk the
-  // structural non-zeros in ascending column order — exact versus the
-  // dense full-row sum because every skipped entry is a true zero and all
+  // O(E log E) construction straight from an edge list over
+  // features.rows() nodes; an endpoint out of range (or an edge_weights
+  // size mismatch) throws std::invalid_argument. Symmetrized values use
+  // the dense operand order A(i,j) + A(j,i), and degree sums walk the
+  // structural entries in ascending column order — exact versus the dense
+  // full-row sum because every skipped entry is a true zero and all
   // weights are non-negative. This is what makes paper-scale graphs
-  // (N = 7352) affordable: no N x N densification on the explain path.
+  // (N = 7352) affordable: nothing is ever densified.
+  //
+  // A(i,j) of a repeated (src, dst) pair follows one of two rules:
+  //   * no edge_weights: Edge::weight(), a Call edge dominating a
+  //     coincident Flow edge (the paper's single-valued A in {0,1,2});
+  //   * edge_weights (one non-negative weight per edge, the explainers'
+  //     gated masks): edge e weighs (*edge_weights)[e], and the LAST edge
+  //     in list order sets the pair's weight. A pair whose weight is
+  //     exactly 0.0 stays a structural zero and makes no node active.
+  //
+  // `features` participates in the activity test (self-loop policy above).
+  MaskedNormalizedAdjacency(const std::vector<Edge>& edges,
+                            const Matrix& features,
+                            const std::vector<double>* edge_weights = nullptr);
+
+  // The graph's own edge list and features.
   explicit MaskedNormalizedAdjacency(const Acfg& graph);
 
   // Marks `node` pruned: zeroes its symmetrized edge weights (both
@@ -101,12 +100,6 @@ class MaskedNormalizedAdjacency {
 
  private:
   void mark_dirty(std::uint32_t node);
-  // Shared ctor tail: expects s_edge_, active_, feature_active_ filled for
-  // the structure described by (row_ptr, col_idx); computes degrees,
-  // d^{-1/2}, normalized values, mirror/diagonal indices and a_hat_ with
-  // the exact dense operation order.
-  void init_from_structure(std::size_t n, std::vector<std::size_t> row_ptr,
-                           std::vector<std::uint32_t> col_idx);
 
   CsrMatrix a_hat_;
   // Symmetrized weights A_ij + A_ji parallel to a_hat_'s values; the
@@ -114,7 +107,6 @@ class MaskedNormalizedAdjacency {
   // +1.0 at refresh time). Zeroed, never rebuilt, as nodes are pruned.
   std::vector<double> s_edge_;
   std::vector<std::size_t> mirror_;    // index of the transposed entry
-  std::vector<std::size_t> diag_pos_;  // index of (i, i) in row i
   std::vector<char> alive_;
   std::vector<char> feature_active_;  // non-zero feature row AND alive
   std::vector<char> active_;          // self-loop policy flag
@@ -126,10 +118,7 @@ class MaskedNormalizedAdjacency {
 
 // Number of *active* nodes under the self-loop policy above: nodes with an
 // incident edge or a non-zero feature row. Pruned and padded nodes are
-// inactive. The classifier's readout pools over this count.
-std::size_t count_active_nodes(const Matrix& adjacency, const Matrix& features);
-
-// Edge-list form of the same count (O(N + E), no densification).
+// inactive. The classifier's readout pools over this count. O(N + E).
 std::size_t count_active_nodes(const Acfg& graph);
 
 // The graph with every node NOT in `kept` masked out: same node count,

@@ -101,10 +101,10 @@ TEST_F(InterpreterTest, AdjacencySnapshotsMatchNodeSets) {
   // masked, and every edge between two kept nodes survives.
   Interpreter interpreter(model_, gnn_);
   const Interpretation result = interpreter.interpret(graph_);
-  const Matrix full = graph_.dense_adjacency();
+  const Matrix full = oracle::dense_adjacency(graph_);
   for (std::size_t k = 0; k < result.subgraph_nodes.size(); ++k) {
     const Acfg sub = masked_subgraph(graph_, result.subgraph_nodes[k]);
-    const Matrix a = sub.dense_adjacency();
+    const Matrix a = oracle::dense_adjacency(sub);
     std::set<std::uint32_t> kept(result.subgraph_nodes[k].begin(),
                                  result.subgraph_nodes[k].end());
     for (std::uint32_t v = 0; v < graph_.num_nodes(); ++v) {

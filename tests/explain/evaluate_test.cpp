@@ -190,7 +190,7 @@ TEST_F(EvaluateFixture, ComplementAccuracyMatchesManualComplementMasking) {
     if (!in_top[v]) complement.push_back(v);
   }
   const oracle::MaskedGraph masked = oracle::keep_only(
-      graph.dense_adjacency(), graph.features(), complement);
+      oracle::dense_adjacency(graph), graph.features(), complement);
   const Prediction prediction =
       oracle::predict(*gnn_, masked.adjacency, masked.features);
   const double expected =

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cmath>
+
+#include "explain/gnnexplainer.hpp"
+
 namespace cfgx {
 namespace {
 
@@ -115,6 +121,46 @@ TEST(GnnTrainerTest, EvaluateConfusionTotalsMatchIndices) {
   GnnClassifier model(small_gnn_config(), rng);
   const ConfusionMatrix cm = evaluate_gnn(model, corpus, split.test);
   EXPECT_EQ(cm.total(), split.test.size());
+}
+
+long peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;  // kilobytes on Linux
+}
+
+// Paper scale (the dataset's largest CFG has 7352 blocks): one training
+// epoch and a 2-step GNNExplainer run on the edge list. A single dense
+// N x N copy of this graph is ~432 MB, so the peak RSS growth must stay
+// below that.
+TEST(GnnTrainerTest, PaperScaleEpochAndGnnExplainerStayOnTheEdgeList) {
+  GeneratorConfig generator;
+  generator.target_blocks = 7352;
+  Rng graph_rng(17);
+  Acfg graph = generate_acfg(Family::Rbot, graph_rng, generator);
+  const std::size_t n = graph.num_nodes();
+  ASSERT_GE(n, 7352u);
+  const Corpus corpus({graph}, {0}, CorpusConfig{});
+
+  const long rss_before = peak_rss_kb();
+  Rng rng(3);
+  GnnClassifier model(GnnConfig{}, rng);
+  GnnTrainConfig config;
+  config.epochs = 1;
+  const GnnTrainResult result = train_gnn(model, corpus, {0}, config);
+  ASSERT_EQ(result.epoch_losses.size(), 1u);
+  EXPECT_TRUE(std::isfinite(result.epoch_losses[0]));
+
+  GnnExplainer explainer(model, GnnExplainerConfig{.iterations = 2});
+  const NodeRanking ranking = explainer.explain(graph);
+  EXPECT_EQ(ranking.order.size(), n);
+  ASSERT_EQ(explainer.last_edge_scores().size(), graph.num_edges());
+  for (double score : explainer.last_edge_scores()) {
+    EXPECT_TRUE(std::isfinite(score));
+  }
+
+  const double dense_copy_kb = static_cast<double>(n) * n * sizeof(double) / 1024.0;
+  EXPECT_LT(static_cast<double>(peak_rss_kb() - rss_before), dense_copy_kb);
 }
 
 }  // namespace

@@ -17,10 +17,10 @@ Acfg triangle_graph(std::size_t feature_count = kAcfgFeatureCount) {
   return graph;
 }
 
-Matrix triangle_adjacency() { return triangle_graph().dense_adjacency(); }
+Matrix triangle_adjacency() { return oracle::dense_adjacency(triangle_graph()); }
 
 TEST(NormalizedAdjacencyTest, IsSymmetric) {
-  const Matrix a_hat = normalized_adjacency(triangle_adjacency());
+  const Matrix a_hat = oracle::normalized_adjacency(triangle_adjacency());
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       EXPECT_NEAR(a_hat(i, j), a_hat(j, i), 1e-12);
@@ -29,7 +29,7 @@ TEST(NormalizedAdjacencyTest, IsSymmetric) {
 }
 
 TEST(NormalizedAdjacencyTest, ActiveNodesHaveSelfLoops) {
-  const Matrix a_hat = normalized_adjacency(triangle_adjacency());
+  const Matrix a_hat = oracle::normalized_adjacency(triangle_adjacency());
   for (std::size_t i = 0; i < 3; ++i) EXPECT_GT(a_hat(i, i), 0.0);
 }
 
@@ -37,7 +37,7 @@ TEST(NormalizedAdjacencyTest, MaskedNodeRowIsZero) {
   Matrix a = triangle_adjacency();
   Matrix x(3, 2, 1.0);
   oracle::mask_node(a, x, 1);
-  const Matrix a_hat = normalized_adjacency(a);
+  const Matrix a_hat = oracle::normalized_adjacency(a);
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_DOUBLE_EQ(a_hat(1, j), 0.0);
     EXPECT_DOUBLE_EQ(a_hat(j, 1), 0.0);
@@ -50,7 +50,7 @@ TEST(NormalizedAdjacencyTest, SingleActiveEdgePairNormalizesToDoublyStochasticis
   // Two nodes with one edge: degrees are equal, rows sum to 1.
   Matrix a(2, 2);
   a(0, 1) = 1.0;
-  const Matrix a_hat = normalized_adjacency(a);
+  const Matrix a_hat = oracle::normalized_adjacency(a);
   EXPECT_NEAR(a_hat(0, 0) + a_hat(0, 1), 1.0, 1e-12);
   EXPECT_NEAR(a_hat(1, 0) + a_hat(1, 1), 1.0, 1e-12);
 }
@@ -59,8 +59,8 @@ TEST(NormalizedAdjacencyTest, CallWeightInfluencesNormalization) {
   Matrix flow(2, 2), call(2, 2);
   flow(0, 1) = 1.0;
   call(0, 1) = 2.0;
-  const Matrix h_flow = normalized_adjacency(flow);
-  const Matrix h_call = normalized_adjacency(call);
+  const Matrix h_flow = oracle::normalized_adjacency(flow);
+  const Matrix h_call = oracle::normalized_adjacency(call);
   // Heavier edge -> relatively smaller self-loop share.
   EXPECT_LT(h_call(0, 0), h_flow(0, 0));
   EXPECT_GT(h_call(0, 1), 0.0);
@@ -68,7 +68,7 @@ TEST(NormalizedAdjacencyTest, CallWeightInfluencesNormalization) {
 
 TEST(NormalizedAdjacencyTest, ExportsInverseSqrtDegrees) {
   std::vector<double> inv_sqrt;
-  const Matrix a_hat = normalized_adjacency(triangle_adjacency(), inv_sqrt);
+  const Matrix a_hat = oracle::normalized_adjacency(triangle_adjacency(), inv_sqrt);
   ASSERT_EQ(inv_sqrt.size(), 3u);
   for (double v : inv_sqrt) EXPECT_GT(v, 0.0);
   // Reconstruct one entry: a_hat(0,1) = c0*c1*(S+I)(0,1).
@@ -78,7 +78,7 @@ TEST(NormalizedAdjacencyTest, ExportsInverseSqrtDegrees) {
 }
 
 TEST(NormalizedAdjacencyTest, NonSquareThrows) {
-  EXPECT_THROW(normalized_adjacency(Matrix(2, 3)), std::invalid_argument);
+  EXPECT_THROW(oracle::normalized_adjacency(Matrix(2, 3)), std::invalid_argument);
 }
 
 TEST(NormalizedAdjacencyCsrTest, MatchesDenseBitForBit) {
@@ -90,8 +90,8 @@ TEST(NormalizedAdjacencyCsrTest, MatchesDenseBitForBit) {
     }
   }
   std::vector<double> inv_dense, inv_csr;
-  const Matrix dense = normalized_adjacency(a, inv_dense);
-  const CsrMatrix csr = normalized_adjacency_csr(a, inv_csr);
+  const Matrix dense = oracle::normalized_adjacency(a, inv_dense);
+  const CsrMatrix csr = oracle::normalized_adjacency_csr(a, inv_csr);
   EXPECT_EQ(csr.to_dense(), dense);  // identical values, zeros dropped
   EXPECT_EQ(inv_csr, inv_dense);
   EXPECT_LT(csr.density(), 0.5);
@@ -101,7 +101,7 @@ TEST(NormalizedAdjacencyCsrTest, MaskedNodeHasEmptyRow) {
   Matrix a = triangle_adjacency();
   Matrix x(3, 4, 1.0);
   oracle::mask_node(a, x, 1);
-  const CsrMatrix csr = normalized_adjacency_csr(a, &x);
+  const CsrMatrix csr = oracle::normalized_adjacency_csr(a, &x);
   EXPECT_EQ(csr.row_ptr()[2] - csr.row_ptr()[1], 0u);  // node 1 stores nothing
 }
 
@@ -140,7 +140,7 @@ TEST(KeepOnlyTest, PreservesShapeMasksComplement) {
   Acfg graph = triangle_graph(2);
   graph.features().fill(1.0);
   const Acfg masked = masked_subgraph(graph, {0, 1});
-  const Matrix adjacency = masked.dense_adjacency();
+  const Matrix adjacency = oracle::dense_adjacency(masked);
   EXPECT_EQ(masked.num_nodes(), 3u);
   EXPECT_TRUE(oracle::node_is_masked(adjacency, 2));
   EXPECT_DOUBLE_EQ(adjacency(0, 1), 1.0);  // kept edge

@@ -355,10 +355,10 @@ TEST(MaskedSubgraph, MatchesKeepOnlyEntryForEntry) {
   const std::vector<std::uint32_t> kept{0, 1};
   const Acfg sub = masked_subgraph(g, kept);
   const oracle::MaskedGraph reference =
-      oracle::keep_only(g.dense_adjacency(), g.features(), kept);
+      oracle::keep_only(oracle::dense_adjacency(g), g.features(), kept);
 
   EXPECT_EQ(sub.num_nodes(), g.num_nodes());
-  const Matrix sub_adj = sub.dense_adjacency();
+  const Matrix sub_adj = oracle::dense_adjacency(sub);
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
       EXPECT_EQ(sub_adj(i, j), reference.adjacency(i, j)) << i << "," << j;
@@ -379,7 +379,7 @@ TEST(CountActiveNodes, EdgeListFormMatchesDense) {
   // Nodes 2 and 4 are fully inactive.
   EXPECT_EQ(count_active_nodes(g), 3u);
   EXPECT_EQ(count_active_nodes(g),
-            count_active_nodes(g.dense_adjacency(), g.features()));
+            oracle::count_active_nodes(oracle::dense_adjacency(g), g.features()));
 }
 
 TEST(MaskedNormalizedAdjacency, AcfgConstructorIsBitIdenticalToDense) {
@@ -391,17 +391,20 @@ TEST(MaskedNormalizedAdjacency, AcfgConstructorIsBitIdenticalToDense) {
                Edge{4, 3, EdgeKind::Call}, Edge{3, 4, EdgeKind::Flow}});
   g.features()(5, 1) = 2.0;  // feature-only active node
   const MaskedNormalizedAdjacency sparse(g);
-  const MaskedNormalizedAdjacency dense(g.dense_adjacency(), g.features());
+  std::vector<double> inv_sqrt;
+  const Matrix dense =
+      oracle::normalized_adjacency(oracle::dense_adjacency(g), inv_sqrt,
+                                   &g.features());
 
-  ASSERT_EQ(sparse.a_hat().row_ptr(), dense.a_hat().row_ptr());
-  ASSERT_EQ(sparse.a_hat().col_idx(), dense.a_hat().col_idx());
-  const auto& sv = sparse.a_hat().values();
-  const auto& dv = dense.a_hat().values();
-  ASSERT_EQ(sv.size(), dv.size());
+  // Same values; the frozen structure is the dense non-zeros plus the
+  // full diagonal (node 5's self-loop slot holds its feature-only loop).
+  const Matrix sv = sparse.a_hat().to_dense();
+  ASSERT_TRUE(sv.same_shape(dense));
   for (std::size_t p = 0; p < sv.size(); ++p) {
-    EXPECT_EQ(sv[p], dv[p]) << "value index " << p;
+    EXPECT_EQ(sv.data()[p], dense.data()[p]) << "dense index " << p;
   }
-  EXPECT_EQ(sparse.inv_sqrt_degree(), dense.inv_sqrt_degree());
+  EXPECT_EQ(sparse.a_hat().nnz(), CsrMatrix::from_dense(dense).nnz());
+  EXPECT_EQ(sparse.inv_sqrt_degree(), inv_sqrt);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ TEST_P(InterpretationInvariants, MaskedEvaluationMatchesKeptSets) {
   const Interpretation result = interpreter.interpret(graph_);
   const auto& kept = result.subgraph_nodes.front();
   const Acfg masked = masked_subgraph(graph_, kept);
-  const Matrix adjacency = masked.dense_adjacency();
+  const Matrix adjacency = oracle::dense_adjacency(masked);
   const std::set<std::uint32_t> kept_set(kept.begin(), kept.end());
   for (std::uint32_t v = 0; v < graph_.num_nodes(); ++v) {
     if (!kept_set.count(v)) {

@@ -107,13 +107,13 @@ class BatchedInferenceOracle : public ::testing::Test {
     gnn_.embed_into(batched.matrix(), inv_sqrt, stacked, embeddings);
     for (std::size_t k = 0; k < c.graphs.size(); ++k) {
       const Acfg& graph = c.graphs[k];
-      const Matrix adjacency = graph.dense_adjacency();
+      const Matrix adjacency = oracle::dense_adjacency(graph);
       const Matrix expected =
           oracle::embed(gnn_, adjacency, graph.features());
       const Matrix slice = slice_rows(embeddings, batched.range(k));
       if (!bit_identical(slice, expected)) return false;
       const Matrix expected_logits = gnn_.class_logits(
-          expected, count_active_nodes(adjacency, graph.features()));
+          expected, oracle::count_active_nodes(adjacency, graph.features()));
       if (!bit_identical(gnn_.class_logits(slice, active[k]),
                          expected_logits)) {
         return false;
@@ -139,7 +139,7 @@ TEST_F(BatchedInferenceOracle, FrozenCsrBatchInferenceBitIdenticalToPerGraph) {
         std::vector<std::size_t> active;
         std::size_t total_nodes = 0;
         for (const Acfg& graph : c.graphs) {
-          frozen.emplace_back(graph.dense_adjacency(), graph.features());
+          frozen.emplace_back(graph);
           blocks.push_back(&frozen.back().a_hat());
           std::size_t graph_active = 0;
           for (double v : frozen.back().inv_sqrt_degree()) {

@@ -195,15 +195,15 @@ TEST(IntoKernelsOracle, IncrementalMaskingBitIdenticalToDenseRenormalize) {
       "MaskedNormalizedAdjacency == densify+renormalize after random prunes",
       masking_cases(),
       [](const MaskingCase& c) {
-        Matrix adjacency = c.graph.dense_adjacency();
+        Matrix adjacency = oracle::dense_adjacency(c.graph);
         Matrix features = c.graph.features();
-        MaskedNormalizedAdjacency masked(adjacency, features);
+        MaskedNormalizedAdjacency masked(c.graph);
         Rng refresh_rng(c.refresh_seed);
 
         const auto agrees = [&]() {
           std::vector<double> inv_ref;
           const CsrMatrix reference =
-              normalized_adjacency_csr(adjacency, inv_ref, &features);
+              oracle::normalized_adjacency_csr(adjacency, inv_ref, &features);
           if (!bit_identical(inv_ref, masked.inv_sqrt_degree())) return false;
           // Structures differ (the incremental form keeps zeroed slots), so
           // compare densified values and the spmm results they produce.
@@ -254,7 +254,7 @@ DenseReference dense_reference_interpret(const GnnClassifier& gnn,
                                          const InterpretationConfig& config) {
   const unsigned step = config.step_size_percent;
   const std::uint32_t n_real = graph.num_nodes();
-  Matrix adjacency = graph.dense_adjacency();
+  Matrix adjacency = oracle::dense_adjacency(graph);
   Matrix features = graph.features();
 
   DenseReference reference;
@@ -341,7 +341,7 @@ TEST_F(InterpreterEquivalence, MatchesSeedDensePathOnRandomGraphs) {
         // seed path held at that size.
         for (std::size_t k = 0; k < fast.subgraph_nodes.size(); ++k) {
           const Acfg sub = masked_subgraph(graph, fast.subgraph_nodes[k]);
-          if (!bit_identical(sub.dense_adjacency(),
+          if (!bit_identical(oracle::dense_adjacency(sub),
                              reference.subgraph_adjacencies[k])) {
             return false;
           }

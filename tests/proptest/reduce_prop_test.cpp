@@ -16,7 +16,7 @@
 //
 // Differential oracles for the edge-list fast paths:
 //  * MaskedNormalizedAdjacency(graph) is bit-identical to the dense
-//    constructor;
+//    normalized_adjacency (values and d^{-1/2}; support/dense_oracle);
 //  * predict(masked_subgraph(G, kept)) is bit-identical to the dense
 //    keep_only + dense-adjacency prediction pipeline (support/dense_oracle);
 //  * count_active_nodes(G) matches the dense count.
@@ -177,16 +177,29 @@ TEST(ReduceProperties, CoarsenCommutesWithRelabeling) {
 
 TEST(SparsePathProperties, AcfgConstructorMatchesDenseBitwise) {
   CHECK_PROPERTY(
-      "MaskedNormalizedAdjacency(G) == MaskedNormalizedAdjacency(dense(G))",
+      "MaskedNormalizedAdjacency(G) == normalized_adjacency(dense(G), X)",
       proptest::acfgs(24, 0.2),
       [](const Acfg& graph) {
         const MaskedNormalizedAdjacency sparse(graph);
-        const MaskedNormalizedAdjacency dense(graph.dense_adjacency(),
-                                              graph.features());
-        return sparse.a_hat().row_ptr() == dense.a_hat().row_ptr() &&
-               sparse.a_hat().col_idx() == dense.a_hat().col_idx() &&
-               sparse.a_hat().values() == dense.a_hat().values() &&
-               sparse.inv_sqrt_degree() == dense.inv_sqrt_degree();
+        std::vector<double> inv_sqrt;
+        const Matrix dense = oracle::normalized_adjacency(
+            oracle::dense_adjacency(graph), inv_sqrt, &graph.features());
+        // Every dense non-zero is stored; the only extra slots are
+        // diagonal ones holding 0.0 (inactive nodes' self-loop slots).
+        std::size_t extra = 0;
+        const auto& row_ptr = sparse.a_hat().row_ptr();
+        for (std::size_t i = 0; i < graph.num_nodes(); ++i) {
+          for (std::size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+            if (sparse.a_hat().values()[p] == 0.0) {
+              if (sparse.a_hat().col_idx()[p] != i) return false;
+              ++extra;
+            }
+          }
+        }
+        return sparse.a_hat().to_dense() == dense &&
+               sparse.a_hat().nnz() ==
+                   CsrMatrix::from_dense(dense).nnz() + extra &&
+               sparse.inv_sqrt_degree() == inv_sqrt;
       },
       {.iterations = 150});
 }
@@ -197,7 +210,7 @@ TEST(SparsePathProperties, CountActiveNodesMatchesDense) {
       proptest::acfgs(24, 0.15),
       [](const Acfg& graph) {
         return count_active_nodes(graph) ==
-               count_active_nodes(graph.dense_adjacency(), graph.features());
+               oracle::count_active_nodes(oracle::dense_adjacency(graph), graph.features());
       },
       {.iterations = 150});
 }
@@ -219,7 +232,7 @@ TEST(SparsePathProperties, MaskedSubgraphPredictMatchesDenseMaskedPredict) {
           if (rng.bernoulli(0.6)) kept.push_back(v);
         }
         const oracle::MaskedGraph dense =
-            oracle::keep_only(graph.dense_adjacency(), graph.features(), kept);
+            oracle::keep_only(oracle::dense_adjacency(graph), graph.features(), kept);
         const Prediction a = gnn.predict(masked_subgraph(graph, kept));
         const Prediction b =
             oracle::predict(gnn, dense.adjacency, dense.features);
