@@ -161,17 +161,6 @@ void BM_AdjacencyMatmulDense(benchmark::State& state) {
 }
 BENCHMARK(BM_AdjacencyMatmulDense)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_AdjacencyMatmulDenseParallel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(11);
-  const Matrix a_hat = a_hat_of(cfg_graph(n, rng)).to_dense();
-  const Matrix h = random_matrix(n, 64, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul_parallel(a_hat, h, kernel_pool()));
-  }
-}
-BENCHMARK(BM_AdjacencyMatmulDenseParallel)->Arg(64)->Arg(128)->Arg(256);
-
 void BM_AdjacencySpmmCsr(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,7 +80,8 @@ bool prediction_survives_top20(const GnnClassifier& gnn, const Acfg& graph,
          full_class;
 }
 
-SweepCase run_point(const GnnClassifier& gnn, const ExplainerModel& theta,
+SweepCase run_point(const GnnClassifier& gnn,
+                    const std::shared_ptr<const ExplainerModel>& theta,
                     const std::vector<Acfg>& graphs, std::size_t nodes,
                     bool reduced) {
   SweepCase result;
@@ -91,7 +93,7 @@ SweepCase run_point(const GnnClassifier& gnn, const ExplainerModel& theta,
   for (const Acfg& graph : graphs) {
     // A fresh explainer per graph keeps per-call state out of the timing.
     CfgExplainer inner(gnn);
-    inner.set_model(theta.clone());
+    inner.set_model(theta);
 
     NodeRanking ranking;
     const auto start = Clock::now();
@@ -148,7 +150,8 @@ int run(const CliArgs& args) {
   theta_config.embedding_dim = gnn.config().embedding_dim();
   theta_config.num_classes = gnn.config().num_classes;
   Rng theta_rng(7);
-  const ExplainerModel theta(theta_config, theta_rng);
+  const auto theta =
+      std::make_shared<const ExplainerModel>(theta_config, theta_rng);
 
   std::vector<SweepCase> cases;
   for (std::size_t nodes : sizes) {

@@ -19,18 +19,24 @@ CfgExplainer::CfgExplainer(const GnnClassifier& gnn,
                            InterpretationConfig interpret_config,
                            std::uint64_t init_seed)
     : gnn_(&gnn),
-      model_([&] {
-        Rng rng(init_seed);
-        return ExplainerModel(model_config_for(gnn), rng);
-      }()),
       train_config_(std::move(train_config)),
-      interpret_config_(interpret_config) {}
+      interpret_config_(interpret_config),
+      init_seed_(init_seed) {}
 
 void CfgExplainer::fit(const Corpus& corpus,
                        const std::vector<std::size_t>& train_indices) {
-  train_result_ = train_explainer(model_, *gnn_, corpus, train_indices,
+  Rng rng(init_seed_);
+  auto model = std::make_shared<ExplainerModel>(model_config_for(*gnn_), rng);
+  train_result_ = train_explainer(*model, *gnn_, corpus, train_indices,
                                   train_config_);
-  fitted_ = true;
+  model_ = std::move(model);
+}
+
+const ExplainerModel& CfgExplainer::model() const {
+  if (!model_) {
+    throw std::logic_error("CfgExplainer: call fit() or set_model() first");
+  }
+  return *model_;
 }
 
 void CfgExplainer::load_model_file(const std::string& path) {
@@ -38,13 +44,17 @@ void CfgExplainer::load_model_file(const std::string& path) {
 }
 
 void CfgExplainer::set_model(ExplainerModel model) {
-  if (model.config().embedding_dim != model_.config().embedding_dim ||
-      model.config().num_classes != model_.config().num_classes) {
+  set_model(std::make_shared<const ExplainerModel>(std::move(model)));
+}
+
+void CfgExplainer::set_model(std::shared_ptr<const ExplainerModel> model) {
+  const ExplainerModelConfig expected = model_config_for(*gnn_);
+  if (!model || model->config().embedding_dim != expected.embedding_dim ||
+      model->config().num_classes != expected.num_classes) {
     throw std::invalid_argument(
         "CfgExplainer::set_model: model does not match the GNN");
   }
   model_ = std::move(model);
-  fitted_ = true;
 }
 
 NodeRanking CfgExplainer::explain(const Acfg& graph) {
@@ -54,12 +64,9 @@ NodeRanking CfgExplainer::explain(const Acfg& graph) {
 }
 
 Interpretation CfgExplainer::interpret(const Acfg& graph) const {
-  if (!fitted_) {
-    throw std::logic_error("CfgExplainer::interpret: call fit() first");
-  }
   // Scoring is const and cache-free, so concurrent interpret() calls share
   // one model.
-  return Interpreter(model_, *gnn_).interpret(graph, interpret_config_);
+  return Interpreter(model(), *gnn_).interpret(graph, interpret_config_);
 }
 
 }  // namespace cfgx

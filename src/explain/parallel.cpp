@@ -1,9 +1,6 @@
 #include "explain/parallel.hpp"
 
-#include <mutex>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>
 
 namespace cfgx {
 
@@ -23,68 +20,36 @@ std::vector<ExplainOutcome> explain_batch_outcomes(
     const ExplainerFactory& factory) {
   for (const Acfg* graph : graphs) {
     if (graph == nullptr) {
-      throw std::invalid_argument("explain_batch: null graph pointer");
+      throw std::invalid_argument(
+          "explain_batch_outcomes: null graph pointer");
     }
   }
 
   std::vector<ExplainOutcome> outcomes(graphs.size());
-
-  // One lazily-created explainer per worker thread. A throwing factory is
-  // retried on the worker's next graph (its failure is recorded per graph,
-  // not cached), which also covers transient construction failures.
-  std::mutex registry_mutex;
-  std::unordered_map<std::thread::id, std::unique_ptr<Explainer>> registry;
-  const auto explainer_for_this_thread = [&]() -> Explainer& {
-    const auto id = std::this_thread::get_id();
-    {
-      std::lock_guard lock(registry_mutex);
-      const auto it = registry.find(id);
-      if (it != registry.end()) return *it->second;
-    }
-    std::unique_ptr<Explainer> fresh = factory();
-    if (!fresh) {
-      throw std::logic_error("explain_batch: factory returned null");
-    }
-    std::lock_guard lock(registry_mutex);
-    return *registry.emplace(id, std::move(fresh)).first->second;
-  };
-
-  // The catch INSIDE the task body is the failure-isolation point: no
-  // exception crosses the packaged_task boundary, so parallel_for drains
-  // every future normally and the pool stays reusable afterwards.
-  pool.parallel_for(graphs.size(), [&](std::size_t i) {
-    try {
-      outcomes[i].ranking = explainer_for_this_thread().explain(*graphs[i]);
-    } catch (...) {
-      outcomes[i].error = std::current_exception();
+  parallel_ranges(pool, graphs.size(), [&](std::size_t begin, std::size_t end) {
+    // One explainer per chunk, so chunks share nothing. A throwing factory
+    // is retried on the chunk's next graph (its failure is recorded per
+    // graph, not cached), which also covers transient construction
+    // failures. The catch is the failure-isolation point: no exception
+    // crosses the pool task boundary, so parallel_ranges drains every
+    // future normally and the pool stays reusable afterwards.
+    std::unique_ptr<Explainer> explainer;
+    for (std::size_t i = begin; i < end; ++i) {
+      try {
+        if (!explainer) {
+          explainer = factory();
+          if (!explainer) {
+            throw std::logic_error(
+                "explain_batch_outcomes: factory returned null");
+          }
+        }
+        outcomes[i].ranking = explainer->explain(*graphs[i]);
+      } catch (...) {
+        outcomes[i].error = std::current_exception();
+      }
     }
   });
   return outcomes;
-}
-
-std::vector<NodeRanking> explain_batch(const std::vector<const Acfg*>& graphs,
-                                       ThreadPool& pool,
-                                       const ExplainerFactory& factory) {
-  std::vector<ExplainOutcome> outcomes =
-      explain_batch_outcomes(graphs, pool, factory);
-  for (const ExplainOutcome& outcome : outcomes) {
-    if (!outcome.ok()) std::rethrow_exception(outcome.error);
-  }
-  std::vector<NodeRanking> rankings(outcomes.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    rankings[i] = std::move(outcomes[i].ranking);
-  }
-  return rankings;
-}
-
-std::vector<NodeRanking> explain_batch(const Corpus& corpus,
-                                       const std::vector<std::size_t>& indices,
-                                       ThreadPool& pool,
-                                       const ExplainerFactory& factory) {
-  std::vector<const Acfg*> graphs;
-  graphs.reserve(indices.size());
-  for (std::size_t index : indices) graphs.push_back(&corpus.graph(index));
-  return explain_batch(graphs, pool, factory);
 }
 
 }  // namespace cfgx

@@ -1,14 +1,17 @@
 // Parallel batch explanation.
 //
 // Per-graph explanation is embarrassingly parallel, but most explainers
-// carry per-call mutable state (layer caches, RNGs), so a single instance
-// cannot be shared across threads. explain_batch takes a *factory* and
-// gives every worker its own explainer instance; results come back in
-// input order and are bit-identical to a serial run because each graph's
-// computation is seed-isolated.
+// carry per-call mutable state (layer caches, RNGs), so one instance
+// cannot be shared across threads. explain_batch_outcomes takes a
+// *factory*, splits the batch into one contiguous chunk per pool worker
+// (parallel_ranges) and gives each chunk its own explainer; results come
+// back in input order and are bit-identical to a serial run because each
+// graph's computation is seed-isolated. The factory may still share
+// read-only state between the explainers it makes: CFGExplainer instances
+// from make_cfg_explainer_factory all borrow one const Theta.
 //
 //   ThreadPool pool;
-//   auto rankings = explain_batch(
+//   auto outcomes = explain_batch_outcomes(
 //       graphs, pool, [&] { return std::make_unique<GnnExplainer>(gnn); });
 //
 // The GNN handed to the factory may carry a kernel pool (even this same
@@ -21,9 +24,7 @@
 // per-graph exception inside the worker chunk — no exception ever crosses
 // a pool task boundary, every future parallel_for waits on is drained
 // normally, and each graph comes back with either its ranking or its own
-// typed error. explain_batch is a thin wrapper that rethrows the first
-// (by input order) captured error for callers that want the old all-or-
-// nothing contract.
+// typed error.
 #pragma once
 
 #include <exception>
@@ -51,26 +52,14 @@ struct ExplainOutcome {
   std::string error_message() const;
 };
 
-// Explains every graph; outcomes[i] corresponds to graphs[i]. Worker count
-// is the pool's; each worker constructs at most one explainer. Per-graph
-// failures (factory or explainer throwing) are captured in the outcome —
-// this function itself only throws on invalid input (a null graph
-// pointer).
+// Explains every graph; outcomes[i] corresponds to graphs[i]. The batch is
+// split into at most pool.worker_count() chunks and each chunk makes at
+// most one explainer (a factory that throws is retried on the chunk's next
+// graph), so the factory must be callable concurrently. Per-graph failures
+// (factory or explainer throwing) are captured in the outcome — this
+// function itself only throws on invalid input (a null graph pointer).
 std::vector<ExplainOutcome> explain_batch_outcomes(
     const std::vector<const Acfg*>& graphs, ThreadPool& pool,
     const ExplainerFactory& factory);
-
-// All-or-nothing wrapper: rankings[i] corresponds to graphs[i]; the first
-// captured per-graph error (in input order) is rethrown with its original
-// type. Every graph is still attempted first, so the pool is drained and
-// reusable even on failure.
-std::vector<NodeRanking> explain_batch(
-    const std::vector<const Acfg*>& graphs, ThreadPool& pool,
-    const ExplainerFactory& factory);
-
-// Convenience overload over a corpus subset.
-std::vector<NodeRanking> explain_batch(
-    const Corpus& corpus, const std::vector<std::size_t>& indices,
-    ThreadPool& pool, const ExplainerFactory& factory);
 
 }  // namespace cfgx

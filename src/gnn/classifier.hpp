@@ -65,8 +65,8 @@ class GnnClassifier {
   // Optional thread pool for the sparse/dense kernels inside embed() and
   // the cached training path. Row-partitioned work keeps results identical
   // to the serial run. Not owned; not copied by clone()/save(). The pool
-  // may be the same one driving explain_batch — a reentrant parallel_for
-  // from a worker runs inline.
+  // may be the same one driving explain_batch_outcomes — a reentrant
+  // parallel_for from a worker runs inline.
   void set_kernel_pool(ThreadPool* pool) noexcept { kernel_pool_ = pool; }
   ThreadPool* kernel_pool() const noexcept { return kernel_pool_; }
 

@@ -1,5 +1,7 @@
 #include "gnn/gcn.hpp"
 
+#include <stdexcept>
+
 #include "nn/workspace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -35,8 +37,8 @@ GcnLayer::GcnLayer(std::size_t in_features, std::size_t out_features, Rng& rng,
 void GcnLayer::infer_into(const CsrMatrix& a_hat, const Matrix& h, Matrix& out,
                           ThreadPool* pool, const double* row_live) const {
   Workspace::Lease hw = Workspace::local().acquire(h.rows(), out_features());
-  matmul_live_rows_into(h, weight_.value, hw.get(), row_live);
-  spmm_live_rows_into(a_hat, hw.get(), out, row_live, pool);
+  matmul_into(h, weight_.value, hw.get(), row_live);
+  spmm_into(a_hat, hw.get(), out, pool, row_live);
   if (row_live == nullptr) {
     add_bias_rows_inplace(out, bias_.value);
     relu_inplace(out);
@@ -54,11 +56,11 @@ void GcnLayer::infer_into(const CsrMatrix& a_hat, const Matrix& h, Matrix& out,
 
 Matrix GcnLayer::forward(const CsrMatrix& a_hat, const Matrix& h,
                          ThreadPool* pool) {
-  cached_a_hat_ = a_hat;
+  cached_a_hat_ = &a_hat;
   cached_pool_ = pool;
   cached_h_ = h;
   matmul_into(h, weight_.value, cached_hw_);
-  spmm_into(cached_a_hat_, cached_hw_, cached_preactivation_, pool);
+  spmm_into(a_hat, cached_hw_, cached_preactivation_, pool);
   add_bias_rows_inplace(cached_preactivation_, bias_.value);
   return relu(cached_preactivation_);
 }
@@ -66,6 +68,9 @@ Matrix GcnLayer::forward(const CsrMatrix& a_hat, const Matrix& h,
 Matrix GcnLayer::backward(const Matrix& grad_output,
                           const std::vector<Edge>* edges,
                           std::vector<double>* grad_edges) {
+  if (cached_a_hat_ == nullptr) {
+    throw std::logic_error("GcnLayer::backward before forward");
+  }
   // dP = dZ .* 1[P > 0]
   Matrix grad_pre = grad_output;
   for (std::size_t i = 0; i < grad_pre.size(); ++i) {
@@ -79,7 +84,7 @@ Matrix GcnLayer::backward(const Matrix& grad_output,
   // accumulation are computed into workspace scratch first.
   Workspace& workspace = Workspace::local();
   Workspace::Lease grad_hw = workspace.acquire(0, 0);
-  spmm_transpose_a_into(cached_a_hat_, grad_pre, grad_hw.get(), cached_pool_);
+  spmm_transpose_a_into(*cached_a_hat_, grad_pre, grad_hw.get(), cached_pool_);
   Workspace::Lease scratch = workspace.acquire(0, 0);
   matmul_transpose_a_into(cached_h_, grad_hw.get(), scratch.get());
   weight_.grad += scratch.get();

@@ -51,8 +51,9 @@ class GcnLayer {
                   ThreadPool* pool = nullptr,
                   const double* row_live = nullptr) const;
 
-  // Cached training forward; caches the adjacency so backward() runs the
-  // sparse kernels too.
+  // Cached training forward. Keeps a pointer to `a_hat`, not a copy, so
+  // backward() runs the sparse kernels on the same CSR: `a_hat` must
+  // outlive the backward() that follows this forward().
   Matrix forward(const CsrMatrix& a_hat, const Matrix& h,
                  ThreadPool* pool = nullptr);
 
@@ -77,8 +78,8 @@ class GcnLayer {
  private:
   Parameter weight_;
   Parameter bias_;
-  // Caches for backward.
-  CsrMatrix cached_a_hat_;
+  // Caches for backward; the adjacency is borrowed from forward()'s caller.
+  const CsrMatrix* cached_a_hat_ = nullptr;
   ThreadPool* cached_pool_ = nullptr;
   Matrix cached_h_;
   Matrix cached_hw_;             // H * W

@@ -66,7 +66,7 @@ Matrix Dense::forward(const Matrix& input) {
 }
 
 void Dense::infer(Matrix& x, Matrix& scratch, const double* row_live) const {
-  matmul_live_rows_into(x, weight_.value, scratch, row_live);
+  matmul_into(x, weight_.value, scratch, row_live);
   add_bias(scratch, bias_.value, row_live);
   std::swap(x, scratch);
 }

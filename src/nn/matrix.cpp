@@ -270,7 +270,8 @@ void matmul_rows_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
 
 }  // namespace detail
 
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& out,
+                 const double* row_live) {
   if (a.cols() != b.rows()) throw_shape("matmul", a, b);
   static obs::Counter& calls =
       obs::MetricsRegistry::global().counter("kernel.matmul.calls");
@@ -280,30 +281,10 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   matmul_isa_counter(simd::dispatch()).add();
   obs::ScopedDurationTimer timer(seconds);
   out.reshape(a.rows(), b.cols());
-  detail::matmul_rows_dispatch(a, b, out, 0, a.rows());
-}
-
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  matmul_into(a, b, out);
-  return out;
-}
-
-void matmul_live_rows_into(const Matrix& a, const Matrix& b, Matrix& out,
-                           const double* row_live) {
   if (row_live == nullptr) {
-    matmul_into(a, b, out);
+    detail::matmul_rows_dispatch(a, b, out, 0, a.rows());
     return;
   }
-  if (a.cols() != b.rows()) throw_shape("matmul", a, b);
-  static obs::Counter& calls =
-      obs::MetricsRegistry::global().counter("kernel.matmul.calls");
-  static obs::Histogram& seconds =
-      obs::MetricsRegistry::global().histogram("kernel.matmul.seconds");
-  calls.add();
-  matmul_isa_counter(simd::dispatch()).add();
-  obs::ScopedDurationTimer timer(seconds);
-  out.reshape(a.rows(), b.cols());
   // Run the dispatched kernel over maximal contiguous runs of live rows;
   // the reshape above already left every masked row at exact zero.
   std::size_t i = 0;
@@ -317,6 +298,12 @@ void matmul_live_rows_into(const Matrix& a, const Matrix& b, Matrix& out,
     detail::matmul_rows_dispatch(a, b, out, i, end);
     i = end;
   }
+}
+
+Matrix matmul(const Matrix& a, const Matrix& b) {
+  Matrix out;
+  matmul_into(a, b, out);
+  return out;
 }
 
 void matmul_transpose_a_into(const Matrix& a, const Matrix& b, Matrix& out) {

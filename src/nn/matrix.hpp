@@ -178,15 +178,14 @@ class Matrix {
 // the `simd` differential suite.
 
 // C = A * B. Throws std::invalid_argument on inner-dimension mismatch.
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
-Matrix matmul(const Matrix& a, const Matrix& b);
-// Row-masked C = A * B: computes only rows i with row_live[i] != 0.0 (the
-// reshape leaves masked rows at exact zero); nullptr degrades to
-// matmul_into. Live rows are bit-identical to matmul_into — Algorithm 2
-// uses this to skip rows of pruned nodes, whose values only ever reach
+// With `row_live` (length a.rows()) only rows i with row_live[i] != 0.0
+// are computed and masked rows stay at the exact zero the reshape wrote;
+// live rows are bit-identical to the unmasked product. Algorithm 2 uses
+// this to skip rows of pruned nodes, whose values only ever reach
 // surviving rows through exact-zero adjacency coefficients.
-void matmul_live_rows_into(const Matrix& a, const Matrix& b, Matrix& out,
-                           const double* row_live);
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& out,
+                 const double* row_live = nullptr);
+Matrix matmul(const Matrix& a, const Matrix& b);
 // C = A^T * B without materializing A^T.
 void matmul_transpose_a_into(const Matrix& a, const Matrix& b, Matrix& out);
 Matrix matmul_transpose_a(const Matrix& a, const Matrix& b);
@@ -198,8 +197,8 @@ namespace detail {
 
 // Cache-blocked (tiled) dense microkernel computing rows [row_begin,
 // row_end) of out += A * B with a 2-row register tile and a 4-wide unrolled
-// innermost loop. Shared by the serial matmul_into and the row-partitioned
-// matmul_parallel. `out` rows must be zeroed on entry.
+// innermost loop; the scalar kernel behind matmul_into. `out` rows must be
+// zeroed on entry.
 void matmul_block_rows(const Matrix& a, const Matrix& b, Matrix& out,
                        std::size_t row_begin, std::size_t row_end);
 
@@ -212,8 +211,8 @@ void matmul_reference_rows(const Matrix& a, const Matrix& b, Matrix& out,
 // ISA-dispatched row kernel: the AVX2+FMA kernel when simd::dispatch()
 // selects it, else matmul_block_rows. Under AVX2 each element differs from
 // the scalar result only by FMA contraction (bound documented in
-// simd.hpp); within one ISA it is deterministic and shared by matmul_into,
-// matmul_live_rows_into and matmul_parallel.
+// simd.hpp); within one ISA it is deterministic, and matmul_into runs it
+// over the full row range or over each run of live rows alike.
 void matmul_rows_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
                           std::size_t row_begin, std::size_t row_end);
 

@@ -32,19 +32,6 @@ obs::Counter& spmm_isa_counter(simd::Isa isa) {
                               std::to_string(b.cols()) + "]");
 }
 
-// Splits [0, extent) into min(extent, pool.worker_count()) chunk_range()
-// chunks and runs body(begin, end) for each on the pool. Chunks are
-// disjoint, so the body may write its output range without
-// synchronization.
-void parallel_ranges(ThreadPool& pool, std::size_t extent,
-                     const std::function<void(std::size_t, std::size_t)>& body) {
-  const std::size_t chunk_count = std::min(extent, pool.worker_count());
-  pool.parallel_for(chunk_count, [&](std::size_t c) {
-    const IndexRange range = chunk_range(extent, chunk_count, c);
-    body(range.begin, range.end);
-  });
-}
-
 void spmm_rows_scalar(const CsrMatrix& a, const Matrix& b, Matrix& out,
                       std::size_t row_begin, std::size_t row_end) {
   const auto& row_ptr = a.row_ptr();
@@ -231,7 +218,7 @@ BatchedCsr BatchedCsr::concat(const std::vector<const CsrMatrix*>& blocks) {
 }
 
 void spmm_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
-               ThreadPool* pool) {
+               ThreadPool* pool, const double* row_live) {
   if (a.cols() != b.rows()) throw_spmm_shape("spmm", a.rows(), a.cols(), b);
   static obs::Counter& calls =
       obs::MetricsRegistry::global().counter("kernel.spmm.calls");
@@ -241,12 +228,19 @@ void spmm_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
   spmm_isa_counter(simd::dispatch()).add();
   obs::ScopedDurationTimer timer(seconds);
   out.reshape(a.rows(), b.cols());
-  if (pool != nullptr && a.rows() > 1) {
-    parallel_ranges(*pool, a.rows(), [&](std::size_t begin, std::size_t end) {
+  const auto rows = [&](std::size_t begin, std::size_t end) {
+    if (row_live == nullptr) {
       spmm_rows(a, b, out, begin, end);
-    });
+      return;
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      if (row_live[i] != 0.0) spmm_rows(a, b, out, i, i + 1);
+    }
+  };
+  if (pool != nullptr && a.rows() > 1) {
+    parallel_ranges(*pool, a.rows(), rows);
   } else {
-    spmm_rows(a, b, out, 0, a.rows());
+    rows(0, a.rows());
   }
 }
 
@@ -254,33 +248,6 @@ Matrix spmm(const CsrMatrix& a, const Matrix& b, ThreadPool* pool) {
   Matrix out;
   spmm_into(a, b, out, pool);
   return out;
-}
-
-void spmm_live_rows_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
-                         const double* row_live, ThreadPool* pool) {
-  if (row_live == nullptr) {
-    spmm_into(a, b, out, pool);
-    return;
-  }
-  if (a.cols() != b.rows()) throw_spmm_shape("spmm", a.rows(), a.cols(), b);
-  static obs::Counter& calls =
-      obs::MetricsRegistry::global().counter("kernel.spmm.calls");
-  static obs::Histogram& seconds =
-      obs::MetricsRegistry::global().histogram("kernel.spmm.seconds");
-  calls.add();
-  spmm_isa_counter(simd::dispatch()).add();
-  obs::ScopedDurationTimer timer(seconds);
-  out.reshape(a.rows(), b.cols());
-  const auto live_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (row_live[i] != 0.0) spmm_rows(a, b, out, i, i + 1);
-    }
-  };
-  if (pool != nullptr && a.rows() > 1) {
-    parallel_ranges(*pool, a.rows(), live_rows);
-  } else {
-    live_rows(0, a.rows());
-  }
 }
 
 void spmm_transpose_a_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
@@ -307,29 +274,6 @@ void spmm_transpose_a_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
 Matrix spmm_transpose_a(const CsrMatrix& a, const Matrix& b, ThreadPool* pool) {
   Matrix out;
   spmm_transpose_a_into(a, b, out, pool);
-  return out;
-}
-
-void matmul_parallel_into(const Matrix& a, const Matrix& b, Matrix& out,
-                          ThreadPool& pool) {
-  if (a.cols() != b.rows()) {
-    throw_spmm_shape("matmul_parallel", a.rows(), a.cols(), b);
-  }
-  static obs::Counter& calls =
-      obs::MetricsRegistry::global().counter("kernel.matmul_parallel.calls");
-  static obs::Histogram& seconds =
-      obs::MetricsRegistry::global().histogram("kernel.matmul_parallel.seconds");
-  calls.add();
-  obs::ScopedDurationTimer timer(seconds);
-  out.reshape(a.rows(), b.cols());
-  parallel_ranges(pool, a.rows(), [&](std::size_t begin, std::size_t end) {
-    detail::matmul_rows_dispatch(a, b, out, begin, end);
-  });
-}
-
-Matrix matmul_parallel(const Matrix& a, const Matrix& b, ThreadPool& pool) {
-  Matrix out;
-  matmul_parallel_into(a, b, out, pool);
   return out;
 }
 

@@ -15,7 +15,7 @@
 // in the representation instead of hiding it in a value test.
 //
 // Parallelism: every kernel takes an optional ThreadPool. Work is
-// partitioned over disjoint output regions (rows for spmm/matmul, column
+// partitioned over disjoint output regions (rows for spmm, column
 // slices for spmm_transpose_a), so the parallel result is deterministic
 // and identical to the serial one — each output element is accumulated by
 // exactly one thread in the same order.
@@ -112,20 +112,17 @@ class BatchedCsr {
 
 // C = A * B with A in CSR form. Throws std::invalid_argument on
 // inner-dimension mismatch. With a pool, rows of C are computed in
-// worker_count chunks (deterministic; see header comment).
+// worker_count chunks (deterministic; see header comment). With `row_live`
+// (length a.rows()) only rows i with row_live[i] != 0.0 are computed and
+// masked rows stay at the exact zero the reshape wrote; live rows are
+// bit-identical to the unmasked product.
 //
 // The `_into` variants reshape `out` (zero-filling, capacity-reusing) and
 // overwrite it; `out` must not alias `b`. The value-returning functions
 // are thin wrappers, so both paths are bit-identical.
 void spmm_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
-               ThreadPool* pool = nullptr);
+               ThreadPool* pool = nullptr, const double* row_live = nullptr);
 Matrix spmm(const CsrMatrix& a, const Matrix& b, ThreadPool* pool = nullptr);
-
-// Row-masked spmm: computes only rows i with row_live[i] != 0.0, leaving
-// masked rows at the exact zero the reshape wrote; nullptr degrades to
-// spmm_into. Live rows are bit-identical to spmm_into.
-void spmm_live_rows_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
-                         const double* row_live, ThreadPool* pool = nullptr);
 
 // C = A^T * B without materializing A^T. With a pool, each worker owns a
 // disjoint slice of B's columns (scatter over output rows is race-free
@@ -134,13 +131,5 @@ void spmm_transpose_a_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
                            ThreadPool* pool = nullptr);
 Matrix spmm_transpose_a(const CsrMatrix& a, const Matrix& b,
                         ThreadPool* pool = nullptr);
-
-// Dense C = A * B with rows of C partitioned across the pool, each worker
-// running the cache-blocked microkernel on its row range. Identical
-// results to matmul(a, b); use for the large dense products (gradient
-// scatter, readout) that stay dense.
-void matmul_parallel_into(const Matrix& a, const Matrix& b, Matrix& out,
-                          ThreadPool& pool);
-Matrix matmul_parallel(const Matrix& a, const Matrix& b, ThreadPool& pool);
 
 }  // namespace cfgx

@@ -521,12 +521,11 @@ void ExplanationEngine::serve_batch(std::vector<Request>& batch) {
 
 ExplainerFactory make_cfg_explainer_factory(const GnnClassifier& gnn,
                                             ExplainerModel theta) {
-  // std::function requires a copyable callable, so the move-only model
-  // lives behind a shared_ptr; every factory call deep-copies it.
-  auto shared = std::make_shared<ExplainerModel>(std::move(theta));
+  // Wrapped once; every explainer borrows this read-only Theta.
+  auto shared = std::make_shared<const ExplainerModel>(std::move(theta));
   return [&gnn, shared] {
     auto explainer = std::make_unique<CfgExplainer>(gnn);
-    explainer->set_model(shared->clone());
+    explainer->set_model(shared);
     return explainer;
   };
 }

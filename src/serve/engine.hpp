@@ -160,9 +160,9 @@ class ExplanationEngine {
  public:
   using Clock = std::chrono::steady_clock;
 
-  // `gnn` is borrowed and must outlive the engine. `factory` constructs an
-  // explainer per pool worker per batch (see explain_batch_outcomes); it
-  // must be callable concurrently from multiple threads.
+  // `gnn` is borrowed and must outlive the engine. `factory` is called at
+  // most once per pool-worker chunk of each batch (explain_batch_outcomes),
+  // concurrently from the pool's workers.
   ExplanationEngine(const GnnClassifier& gnn, ExplainerFactory factory,
                     ServeConfig config = {});
   ~ExplanationEngine();  // stop()
@@ -250,9 +250,10 @@ class ExplanationEngine {
 };
 
 // Convenience factory for the common backend: CFGExplainer instances all
-// serving one trained Theta. Each instance gets its own deep copy of the
-// model (explainer state is per-call mutable), so the factory is safe to
-// invoke concurrently from the engine's pool workers.
+// serving one trained Theta. Theta is wrapped once, as a shared const
+// model that every explainer borrows (Algorithm 2 only reads it), so a
+// call constructs no model and the factory is safe to invoke concurrently
+// from the engine's pool workers.
 ExplainerFactory make_cfg_explainer_factory(const GnnClassifier& gnn,
                                             ExplainerModel theta);
 

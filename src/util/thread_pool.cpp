@@ -142,6 +142,15 @@ void ThreadPool::parallel_for(std::size_t count,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void parallel_ranges(ThreadPool& pool, std::size_t extent,
+                     const std::function<void(std::size_t, std::size_t)>& body) {
+  const std::size_t chunk_count = std::min(extent, pool.worker_count());
+  pool.parallel_for(chunk_count, [&](std::size_t c) {
+    const IndexRange range = chunk_range(extent, chunk_count, c);
+    body(range.begin, range.end);
+  });
+}
+
 void ThreadPool::worker_loop() {
   current_worker_pool = this;
   for (;;) {

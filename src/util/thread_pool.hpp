@@ -82,4 +82,12 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+// Splits [0, extent) into min(extent, pool.worker_count()) chunk_range()
+// chunks and runs body(begin, end) once per chunk through parallel_for
+// (same reentrancy and exception contract). Chunks are disjoint, so the
+// body may write its own range without synchronization, and per-chunk
+// state (a scratch buffer, an explainer) is never shared across threads.
+void parallel_ranges(ThreadPool& pool, std::size_t extent,
+                     const std::function<void(std::size_t, std::size_t)>& body);
+
 }  // namespace cfgx

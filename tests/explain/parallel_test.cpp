@@ -16,19 +16,34 @@ Corpus tiny_corpus() {
   return generate_corpus(config);
 }
 
-TEST(ExplainBatchTest, MatchesSerialExecution) {
-  const Corpus corpus = tiny_corpus();
+std::vector<const Acfg*> graphs_of(const Corpus& corpus,
+                                   const std::vector<std::size_t>& indices) {
+  std::vector<const Acfg*> graphs;
+  for (std::size_t index : indices) graphs.push_back(&corpus.graph(index));
+  return graphs;
+}
+
+std::vector<std::size_t> all_indices(const Corpus& corpus) {
   std::vector<std::size_t> indices;
   for (std::size_t i = 0; i < corpus.size(); ++i) indices.push_back(i);
+  return indices;
+}
+
+TEST(ExplainBatchTest, MatchesSerialExecution) {
+  const Corpus corpus = tiny_corpus();
+  const std::vector<std::size_t> indices = all_indices(corpus);
 
   ThreadPool pool(4);
-  const auto parallel = explain_batch(
-      corpus, indices, pool, [] { return std::make_unique<RandomExplainer>(9); });
+  const auto parallel = explain_batch_outcomes(
+      graphs_of(corpus, indices), pool,
+      [] { return std::make_unique<RandomExplainer>(9); });
 
   RandomExplainer serial(9);
   ASSERT_EQ(parallel.size(), indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(parallel[i].order, serial.explain(corpus.graph(indices[i])).order)
+    ASSERT_TRUE(parallel[i].ok()) << "graph " << i;
+    EXPECT_EQ(parallel[i].ranking.order,
+              serial.explain(corpus.graph(indices[i])).order)
         << "graph " << i;
   }
 }
@@ -37,35 +52,40 @@ TEST(ExplainBatchTest, ResultsAlignedWithInputOrder) {
   const Corpus corpus = tiny_corpus();
   std::vector<std::size_t> indices{5, 0, 11};
   ThreadPool pool(2);
-  const auto rankings = explain_batch(
-      corpus, indices, pool, [] { return std::make_unique<DegreeExplainer>(); });
-  ASSERT_EQ(rankings.size(), 3u);
+  const auto outcomes = explain_batch_outcomes(
+      graphs_of(corpus, indices), pool,
+      [] { return std::make_unique<DegreeExplainer>(); });
+  ASSERT_EQ(outcomes.size(), 3u);
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(rankings[i].order.size(), corpus.graph(indices[i]).num_nodes());
+    EXPECT_EQ(outcomes[i].ranking.order.size(),
+              corpus.graph(indices[i]).num_nodes());
   }
 }
 
 TEST(ExplainBatchTest, EmptyInputGivesEmptyOutput) {
   ThreadPool pool(2);
-  const auto rankings = explain_batch(
+  const auto outcomes = explain_batch_outcomes(
       std::vector<const Acfg*>{}, pool,
       [] { return std::make_unique<DegreeExplainer>(); });
-  EXPECT_TRUE(rankings.empty());
+  EXPECT_TRUE(outcomes.empty());
 }
 
 TEST(ExplainBatchTest, NullGraphThrows) {
   ThreadPool pool(2);
-  EXPECT_THROW(explain_batch(std::vector<const Acfg*>{nullptr}, pool,
+  EXPECT_THROW(
+      explain_batch_outcomes(std::vector<const Acfg*>{nullptr}, pool,
                              [] { return std::make_unique<DegreeExplainer>(); }),
-               std::invalid_argument);
+      std::invalid_argument);
 }
 
 TEST(ExplainBatchTest, NullFactoryResultThrows) {
   const Corpus corpus = tiny_corpus();
   ThreadPool pool(2);
-  EXPECT_THROW(explain_batch(corpus, {0}, pool,
-                             []() -> std::unique_ptr<Explainer> { return nullptr; }),
-               std::logic_error);
+  const auto outcomes = explain_batch_outcomes(
+      graphs_of(corpus, {0}), pool,
+      []() -> std::unique_ptr<Explainer> { return nullptr; });
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_THROW(std::rethrow_exception(outcomes[0].error), std::logic_error);
 }
 
 TEST(ExplainBatchTest, ExplainerExceptionPropagates) {
@@ -78,9 +98,13 @@ TEST(ExplainBatchTest, ExplainerExceptionPropagates) {
   };
   const Corpus corpus = tiny_corpus();
   ThreadPool pool(2);
-  EXPECT_THROW(explain_batch(corpus, {0, 1}, pool,
-                             [] { return std::make_unique<ThrowingExplainer>(); }),
-               std::runtime_error);
+  const auto outcomes = explain_batch_outcomes(
+      graphs_of(corpus, {0, 1}), pool,
+      [] { return std::make_unique<ThrowingExplainer>(); });
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (const auto& outcome : outcomes) {
+    EXPECT_THROW(std::rethrow_exception(outcome.error), std::runtime_error);
+  }
 }
 
 // One explainer throwing mid-batch must not cost the other graphs their
@@ -133,12 +157,13 @@ TEST(ExplainBatchTest, KthGraphThrowingYieldsTypedPerGraphErrors) {
 
   // The pool survived the failing batch: a follow-up batch on the SAME
   // pool completes normally with full results.
-  const auto again = explain_batch(graphs, pool, [] {
+  const auto again = explain_batch_outcomes(graphs, pool, [] {
     return std::make_unique<DegreeExplainer>();
   });
   ASSERT_EQ(again.size(), graphs.size());
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    EXPECT_EQ(again[i].order.size(), graphs[i]->num_nodes());
+    EXPECT_TRUE(again[i].ok()) << "graph " << i;
+    EXPECT_EQ(again[i].ranking.order.size(), graphs[i]->num_nodes());
   }
 }
 
@@ -155,20 +180,18 @@ TEST(ExplainBatchTest, ThrowingFactoryIsAPerGraphError) {
     EXPECT_EQ(outcome.error_message(), "factory down");
   }
   // Pool still functional.
-  const auto ok = explain_batch(graphs, pool, [] {
+  const auto ok = explain_batch_outcomes(graphs, pool, [] {
     return std::make_unique<DegreeExplainer>();
   });
-  EXPECT_EQ(ok.size(), 2u);
+  ASSERT_EQ(ok.size(), 2u);
+  for (const auto& outcome : ok) EXPECT_TRUE(outcome.ok());
 }
 
 TEST(ExplainBatchTest, FactoryCalledAtMostOncePerWorker) {
   const Corpus corpus = tiny_corpus();
-  std::vector<std::size_t> indices;
-  for (std::size_t i = 0; i < corpus.size(); ++i) indices.push_back(i);
-
   std::atomic<int> constructions{0};
   ThreadPool pool(3);
-  explain_batch(corpus, indices, pool, [&] {
+  explain_batch_outcomes(graphs_of(corpus, all_indices(corpus)), pool, [&] {
     ++constructions;
     return std::make_unique<DegreeExplainer>();
   });

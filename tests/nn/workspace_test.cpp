@@ -16,6 +16,7 @@
 #include "nn/matrix.hpp"
 #include "nn/sparse.hpp"
 #include "obs/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cfgx {
 namespace {
@@ -376,7 +377,7 @@ TEST(IntoKernels, LiveRowsVariantsSkipMaskedRowsOnly) {
 
   Matrix full, masked(9, 9, 5.0);  // dirty destination
   matmul_into(a, b, full);
-  matmul_live_rows_into(a, b, masked, live.data());
+  matmul_into(a, b, masked, live.data());
   ASSERT_TRUE(masked.same_shape(full));
   for (std::size_t r = 0; r < full.rows(); ++r) {
     for (std::size_t c = 0; c < full.cols(); ++c) {
@@ -384,19 +385,23 @@ TEST(IntoKernels, LiveRowsVariantsSkipMaskedRowsOnly) {
     }
   }
   Matrix null_mask;
-  matmul_live_rows_into(a, b, null_mask, nullptr);
+  matmul_into(a, b, null_mask, nullptr);
   EXPECT_TRUE(bit_identical(null_mask, full));
 
   const CsrMatrix csr = CsrMatrix::from_dense(a);
   Matrix sp_full, sp_masked;
   spmm_into(csr, b, sp_full);
-  spmm_live_rows_into(csr, b, sp_masked, live.data());
+  spmm_into(csr, b, sp_masked, nullptr, live.data());
   ASSERT_TRUE(sp_masked.same_shape(sp_full));
   for (std::size_t r = 0; r < sp_full.rows(); ++r) {
     for (std::size_t c = 0; c < sp_full.cols(); ++c) {
       EXPECT_EQ(sp_masked(r, c), live[r] != 0.0 ? sp_full(r, c) : 0.0);
     }
   }
+  ThreadPool pool(3);
+  Matrix sp_pooled;
+  spmm_into(csr, b, sp_pooled, &pool, live.data());
+  EXPECT_TRUE(bit_identical(sp_pooled, sp_masked));
 }
 
 TEST(IntoKernels, MatmulIntoThrowsOnShapeMismatch) {

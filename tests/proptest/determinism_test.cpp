@@ -116,9 +116,17 @@ class BatchDeterminismTest : public ::testing::Test {
 
   static std::vector<NodeRanking> explain_all(ThreadPool& pool,
                                               const ExplainerFactory& factory) {
-    std::vector<std::size_t> all(corpus_->size());
-    std::iota(all.begin(), all.end(), 0u);
-    return explain_batch(*corpus_, all, pool, factory);
+    std::vector<const Acfg*> graphs;
+    for (std::size_t i = 0; i < corpus_->size(); ++i) {
+      graphs.push_back(&corpus_->graph(i));
+    }
+    std::vector<NodeRanking> rankings;
+    for (ExplainOutcome& outcome :
+         explain_batch_outcomes(graphs, pool, factory)) {
+      if (!outcome.ok()) std::rethrow_exception(outcome.error);
+      rankings.push_back(std::move(outcome.ranking));
+    }
+    return rankings;
   }
 
   static Corpus* corpus_;

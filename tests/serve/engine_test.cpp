@@ -44,8 +44,8 @@ ExplainerModelConfig small_theta_config(const GnnConfig& gnn) {
   return config;
 }
 
-// One GNN + one Theta shared by every test; inference is const and the
-// engine factories deep-copy the model, so sharing is safe.
+// One GNN shared by every test and one seeded Theta per factory: inference
+// is const, so every engine explainer borrows both read-only.
 class EngineTest : public ::testing::Test {
  protected:
   EngineTest() : rng_(42), gnn_(small_gnn_config(), rng_) {}
@@ -526,6 +526,74 @@ TEST_F(EngineTest, RequestFlowEventsLinkSpansAcrossThreads) {
   }
   EXPECT_TRUE(saw_submit_span);
   EXPECT_TRUE(saw_batch_span);
+}
+
+// make_cfg_explainer_factory wraps Theta once: every explainer it makes
+// borrows the same read-only model instead of a copy.
+TEST_F(EngineTest, FactoryExplainersShareOneTheta) {
+  const ExplainerFactory factory = cfg_factory();
+  const std::unique_ptr<Explainer> a = factory();
+  const std::unique_ptr<Explainer> b = factory();
+  const auto* cfg_a = dynamic_cast<const CfgExplainer*>(a.get());
+  const auto* cfg_b = dynamic_cast<const CfgExplainer*>(b.get());
+  ASSERT_NE(cfg_a, nullptr);
+  ASSERT_NE(cfg_b, nullptr);
+  EXPECT_TRUE(cfg_a->fitted());
+  EXPECT_EQ(&cfg_a->model(), &cfg_b->model());
+}
+
+TEST_F(EngineTest, FreshCfgExplainerHoldsNoModel) {
+  CfgExplainer explainer(gnn_);
+  EXPECT_FALSE(explainer.fitted());
+  EXPECT_THROW(explainer.model(), std::logic_error);
+  EXPECT_THROW(explainer.interpret(corpus_graph(0)), std::logic_error);
+  EXPECT_THROW(
+      explainer.save_model_file(::testing::TempDir() + "cfgx_unfitted.bin"),
+      std::logic_error);
+  EXPECT_THROW(explainer.set_model(std::shared_ptr<const ExplainerModel>()),
+               std::invalid_argument);
+  Rng rng(7);
+  ExplainerModelConfig wrong = small_theta_config(gnn_.config());
+  wrong.num_classes += 1;
+  EXPECT_THROW(explainer.set_model(ExplainerModel(wrong, rng)),
+               std::invalid_argument);
+  EXPECT_FALSE(explainer.fitted());
+
+  explainer.set_model(fresh_theta());
+  EXPECT_TRUE(explainer.fitted());
+}
+
+// Four threads explain the same graphs at once through explainers from one
+// factory, so they all read one Theta concurrently; every ranking must be
+// bit-identical to a serial reference.
+TEST_F(EngineTest, ConcurrentSharedThetaExplanationsMatchSerialReference) {
+  std::vector<Acfg> graphs;
+  for (std::size_t i = 0; i < 4; ++i) graphs.push_back(corpus_graph(i * 5));
+  CfgExplainer reference(gnn_);
+  reference.set_model(fresh_theta());
+  std::vector<NodeRanking> expected;
+  for (const Acfg& graph : graphs) expected.push_back(reference.explain(graph));
+
+  const ExplainerFactory factory = cfg_factory();
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<NodeRanking>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::unique_ptr<Explainer> explainer = factory();
+      for (const Acfg& graph : graphs) {
+        got[t].push_back(explainer->explain(graph));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), graphs.size()) << "thread " << t;
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      EXPECT_EQ(got[t][i].order, expected[i].order)
+          << "thread " << t << " graph " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -159,6 +159,22 @@ TEST(ThreadPoolTest, ParallelForVisitsEachIndexOnceForEveryPoolSize) {
         ASSERT_EQ(hits[i].load(), 1)
             << "workers " << workers << " count " << count << " index " << i;
       }
+
+      // parallel_ranges: at most one non-empty chunk per worker, covering
+      // each index once.
+      std::vector<std::atomic<int>> range_hits(count);
+      std::atomic<std::size_t> chunks{0};
+      parallel_ranges(pool, count, [&](std::size_t begin, std::size_t end) {
+        ASSERT_LT(begin, end);
+        ASSERT_LE(end, count);
+        chunks.fetch_add(1);
+        for (std::size_t i = begin; i < end; ++i) range_hits[i].fetch_add(1);
+      });
+      EXPECT_LE(chunks.load(), workers);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(range_hits[i].load(), 1)
+            << "workers " << workers << " count " << count << " index " << i;
+      }
     }
   }
 }
